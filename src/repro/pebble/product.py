@@ -41,9 +41,9 @@ def transducer_times_automaton(
             "the type automaton must cover the transducer's output alphabet"
         )
     # Memoized: the same (transducer, output type) pair recurs whenever a
-    # typecheck is re-run — and a hit returns the interned product, whose
-    # own cached fingerprint makes the downstream ``pebble.to_regular``
-    # lookup nearly free (no re-fingerprinting of the big product).
+    # typecheck is re-run.  The product returned, computed or hit, carries
+    # its derivation (see repro.runtime.cache), so downstream lookups
+    # keyed on it never fingerprint the big product.
     return memoized(
         "pebble.product",
         (transducer, automaton),

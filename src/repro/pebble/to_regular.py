@@ -47,6 +47,7 @@ from repro.mso.annotations import (
 )
 from repro.mso.annotations import project as project_vars
 from repro.pebble.automaton import PebbleAutomaton
+from repro.pebble.quotient import quotient_pebble_automaton
 from repro.runtime.cache import memoized
 from repro.runtime.governor import current_governor
 from repro.runtime.trace import current_tracer
@@ -587,7 +588,6 @@ def pebble_automaton_to_ta(automaton: PebbleAutomaton) -> BottomUpTA:
 
 
 def _pebble_automaton_to_ta(automaton: PebbleAutomaton) -> BottomUpTA:
-    from repro.pebble.quotient import quotient_pebble_automaton
     from repro.pebble.two_way import is_walking, walking_automaton_to_ta
 
     governor = current_governor()
@@ -595,9 +595,7 @@ def _pebble_automaton_to_ta(automaton: PebbleAutomaton) -> BottomUpTA:
     with governor.phase("pebble-to-regular"), \
             tracer.span("pebble-to-regular"):
         with tracer.span("pebble-trim"):
-            trimmed = quotient_pebble_automaton(
-                trim_pebble_automaton(automaton)
-            )
+            trimmed = trim_quotient(automaton)
         if is_walking(trimmed):
             with governor.phase("walking-summary"), \
                     tracer.span("walking-summary"):
@@ -607,6 +605,20 @@ def _pebble_automaton_to_ta(automaton: PebbleAutomaton) -> BottomUpTA:
         variables, result = _ToRegular(trimmed).phi(1, trimmed.initial)
         assert variables == (), "level 1 must be variable-free"
         return result
+
+
+def trim_quotient(automaton: PebbleAutomaton) -> PebbleAutomaton:
+    """The bisimulation quotient of the trimmed ``automaton``: the same
+    language, usually on far fewer states.
+
+    Memoized as one op, ``pebble.trim-quotient``, shared by the
+    Theorem 4.4 pipeline and the lazy route, so a repeated check neither
+    re-trims nor re-quotients its product.
+    """
+    return memoized(
+        "pebble.trim-quotient", (automaton,),
+        lambda: quotient_pebble_automaton(trim_pebble_automaton(automaton)),
+    )
 
 
 def trim_pebble_automaton(automaton: PebbleAutomaton) -> PebbleAutomaton:

@@ -19,9 +19,17 @@ on sharing.  This module provides the sharing:
   their states happen to be named.  Equal fingerprints imply *structural
   isomorphism* (identical rule tables under the canonical numbering),
   which is the soundness contract every memoized operation relies on.
+* **Derivation keys** for the pebble automata the memo table itself
+  produces (the Prop 4.6 product and its trimmed quotient): such an
+  automaton records a digest of the memo key it was returned under, and
+  :func:`memo_key` uses that digest in place of its fingerprint — so the
+  largest values of the pipeline are never hashed structurally.
 * **A process-wide bounded LRU memo table** (:data:`GLOBAL_CACHE`) keyed
   on ``(operation, fingerprints, extras)``.  :func:`memoized` is the
-  single entry point the algebra call sites use.
+  single entry point the algebra call sites use.  Each entry's size for
+  the byte budget is counted from the table lengths the value already
+  holds (:func:`entry_size`), not by walking its object graph, so
+  storing an entry never walks the automaton either.
 
 Composition with the resource governor (PR 1):
 
@@ -85,46 +93,115 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 
 # ---------------------------------------------------------------------------
-# size estimation (approximate, for the bytes budget/counter)
+# entry sizes (approximate, for the bytes budget/counter)
 # ---------------------------------------------------------------------------
 
 
-def estimate_size(value: Any) -> int:
-    """Rough deep ``sys.getsizeof`` of ``value`` (shared objects counted
-    once).  Used for the cache's bytes counter and eviction budget; the
-    number is an estimate, not an accounting guarantee."""
-    seen: set[int] = set()
-    seen_add = seen.add
-    getsizeof = sys.getsizeof
+def entry_size(value: Any) -> int:
+    """Estimated bytes held by the memo value ``value``.
+
+    Counted from the lengths of the tables the value already holds
+    (states, rules, transitions), never by walking its object graph,
+    which costs about as much as fingerprinting the value: a tree
+    automaton or DFA takes a few ``len`` calls, a pebble automaton adds
+    one C-level pass summing its guards' action counts, and a witness
+    tree counts its distinct nodes.  Containers (the per-level results
+    of :mod:`repro.pebble.to_regular`) add up their items; anything else
+    counts its ``sys.getsizeof``.  The number is an estimate for the
+    byte budget, not an accounting guarantee.
+    """
     total = 0
     stack = [value]
     while stack:
-        obj = stack.pop()
-        i = id(obj)
-        if i in seen:
+        item = stack.pop()
+        sizer = _sizer(type(item))
+        if sizer is not None:
+            total += sizer(item)
             continue
-        seen_add(i)
-        cls = obj.__class__
-        if cls is int or cls is str:  # leaf fast path (the common case)
-            total += getsizeof(obj)
-            continue
-        try:
-            total += getsizeof(obj)
-        except TypeError:  # pragma: no cover - exotic objects
-            total += 64
-        if cls is dict:
-            stack.extend(obj.keys())
-            stack.extend(obj.values())
-        elif cls in (list, tuple, set, frozenset):
-            stack.extend(obj)
-        elif isinstance(obj, dict):
-            stack.extend(obj.keys())
-            stack.extend(obj.values())
-        elif isinstance(obj, (list, tuple, set, frozenset)):
-            stack.extend(obj)
-        elif hasattr(obj, "__dict__"):
-            stack.extend(vars(obj).values())
+        total += sys.getsizeof(item)
+        if isinstance(item, dict):
+            stack.extend(item.keys())
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple, set, frozenset)):
+            stack.extend(item)
     return total
+
+
+# The per-element byte counts below were fitted to a deep
+# ``sys.getsizeof`` walk (shared objects counted once) of every value the
+# typecheck pipeline stores on the repository's test and benchmark jobs;
+# each estimate falls within 0.5x-2x of that walk, which
+# tests/test_cache_bookkeeping.py keeps as the reference.  Pebble
+# automata spread the most: their action objects are shared across
+# guards to a degree no table length records.
+
+
+def _ta_size(ta: Any) -> int:
+    alphabet = ta.alphabet
+    return (
+        800
+        + 80 * (len(alphabet.leaves) + len(alphabet.internals))
+        + 220 * len(ta.states)
+        + 400 * (len(ta.rules) + len(ta.leaf_rules))
+    )
+
+
+def _pebble_size(automaton: Any) -> int:
+    return (
+        3000
+        + 100 * len(automaton.level_of)
+        + 100 * len(automaton.rules)
+        + 80 * sum(map(len, automaton.rules.values()))
+    )
+
+
+def _dfa_size(dfa: Any) -> int:
+    return 700 + 115 * len(dfa.delta)
+
+
+def _tree_size(tree: Any) -> int:
+    # A tree holds no table: count its distinct nodes.  Witness trees
+    # share subtrees, so counting with multiplicity could be exponential.
+    seen: set[int] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.left is not None:
+            stack.append(node.left)
+            stack.append(node.right)
+    return 60 + 100 * len(seen)
+
+
+#: Per-class sizer (``None`` for values sized by ``sys.getsizeof``).
+_SIZERS: dict[type, Optional[Callable[[Any], int]]] = {}
+
+
+def _sizer(cls: type) -> Optional[Callable[[Any], int]]:
+    try:
+        return _SIZERS[cls]
+    except KeyError:
+        pass
+    # Imported lazily, like the fingerprint dispatch below.
+    from repro.automata.bottom_up import BottomUpTA
+    from repro.pebble.automaton import PebbleAutomaton
+    from repro.regex.dfa import DFA
+    from repro.trees.ranked import BTree
+
+    sizer = None
+    for base, candidate in (
+        (BottomUpTA, _ta_size),
+        (PebbleAutomaton, _pebble_size),
+        (DFA, _dfa_size),
+        (BTree, _tree_size),
+    ):
+        if issubclass(cls, base):
+            sizer = candidate
+            break
+    _SIZERS[cls] = sizer
+    return sizer
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +210,7 @@ def estimate_size(value: Any) -> int:
 
 _FP_ATTR = "_repro_fp"
 _FP_EXACT_ATTR = "_repro_fp_exact"
+_DERIVATION_ATTR = "_repro_derivation"
 
 
 def stable_repr(obj: Any) -> str:
@@ -574,7 +652,7 @@ class MemoCache:
 
     def store(self, key: Hashable, value: Any) -> None:
         """Insert ``key -> value``, evicting LRU entries over budget."""
-        size = estimate_size(value)
+        size = entry_size(value)
         with self._lock:
             if key in self._table:
                 self._bytes -= self._table.pop(key)[1]
@@ -779,10 +857,45 @@ def memo_key(
     and by every future daemon incarnation.  Built exclusively from
     :func:`fingerprint` and :func:`stable_repr`, so it is stable across
     processes (no hash-seed dependence) and invariant under state
-    renaming wherever the fingerprints are.
+    renaming wherever the fingerprints are.  An input that carries a
+    derivation (a pebble automaton :func:`memoized` returned) contributes
+    that digest instead of its fingerprint; it is a digest of an earlier
+    key, so just as stable.
     """
-    fps = tuple(fingerprint(value, exact=exact) for value in inputs)
+    fps = tuple(
+        getattr(value, _DERIVATION_ATTR, None)
+        or fingerprint(value, exact=exact)
+        for value in inputs
+    )
     return f"{operation}|{'|'.join(fps)}|{stable_repr(extra)}"
+
+
+def _derived(value: Any, key: str) -> Any:
+    """``value``, tagged with its derivation when it is a pebble automaton.
+
+    The derivation is a digest of ``key``, the memo key ``value`` was
+    returned under.  :func:`memo_key` keys on it in place of the
+    structural fingerprint, which for a product automaton costs more
+    than building it.  That is sound because every operation returning a
+    pebble automaton keys only on fingerprints that include state names
+    (``pebble.product`` on its transducer and type automaton,
+    ``pebble.trim-quotient`` on a pebble automaton): equal keys mean
+    identical automata, state names included.  An operation that keys a
+    pebble automaton result on a renaming-invariant fingerprint would
+    break this.  The first derivation sticks, so an operation returning
+    its input unchanged does not re-key it.
+    """
+    from repro.pebble.automaton import PebbleAutomaton
+
+    if (
+        isinstance(value, PebbleAutomaton)
+        and getattr(value, _DERIVATION_ATTR, None) is None
+    ):
+        digest = hashlib.blake2b(
+            key.encode("utf-8", "backslashreplace"), digest_size=16
+        ).hexdigest()
+        object.__setattr__(value, _DERIVATION_ATTR, f"drv:{digest}")
+    return value
 
 
 def memoized(
@@ -807,6 +920,10 @@ def memoized(
     disk hit is promoted into the in-memory table (and charges the same
     nominal governor step a memory hit does), and every computed value
     is written through to disk so it outlives this process.
+
+    A pebble automaton returned on any of these paths is tagged with its
+    derivation (:func:`_derived`), so keys built on it later skip its
+    fingerprint.
     """
     cache = GLOBAL_CACHE
     tracer = current_tracer()
@@ -819,15 +936,15 @@ def memoized(
         value = cache.lookup(key)
         if value is not MemoCache._MISS:
             current_governor().tick()
-            return value
+            return _derived(value, key)
         disk = _PERSISTENT
         if disk is not None:
             value = disk.get(key, MemoCache._MISS)
             if value is not MemoCache._MISS:
-                cache.store(key, value)
+                cache.store(key, _derived(value, key))
                 current_governor().tick()
                 return value
-        value = compute()
+        value = _derived(compute(), key)
         cache.store(key, value)
         if disk is not None:
             disk.put(key, value)
@@ -839,8 +956,9 @@ def memoized(
         if not cache.enabled:
             span.set(cache="disabled")
             return compute()
-        # keying can dominate on large automata (canonical renaming +
-        # content hash), so it gets its own leaf span
+        # keying an input without a derivation can dominate on large
+        # automata (canonical renaming + content hash), so it gets its
+        # own leaf span
         with tracer.span("fingerprint"):
             key = memo_key(operation, inputs, extra, exact)
         if _TRACKED is not None:
@@ -849,13 +967,13 @@ def memoized(
         if value is not MemoCache._MISS:
             current_governor().tick()
             span.set(cache="hit")
-            return value
+            return _derived(value, key)
         disk = _PERSISTENT
         if disk is not None:
             with tracer.span("persistent-lookup"):
                 value = disk.get(key, MemoCache._MISS)
             if value is not MemoCache._MISS:
-                cache.store(key, value)
+                cache.store(key, _derived(value, key))
                 current_governor().tick()
                 span.set(cache="persistent-hit")
                 return value
@@ -864,9 +982,10 @@ def memoized(
         # bookkeeping (lookup/store) stays separable from compute time
         with tracer.span("compute"):
             value = compute()
-        # storing is not free either: the bytes budget deep-sizes value
+        # storing is bookkeeping too: the derivation tag, the entry's
+        # size, and with a disk tier a pickled write-through
         with tracer.span("memo-store"):
-            cache.store(key, value)
+            cache.store(key, _derived(value, key))
             if disk is not None:
                 disk.put(key, value)
         return value

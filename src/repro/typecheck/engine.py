@@ -46,6 +46,7 @@ from typing import Iterator, Optional, Union
 from repro.automata.bottom_up import BottomUpTA
 from repro.automata.convert import bu_to_td
 from repro.automata.from_dtd import dtd_to_automaton, specialized_to_automaton
+from repro.automata.top_down import TopDownTA
 from repro.errors import ResourceExhausted, TypecheckError
 from repro.pebble.output_automaton import output_language
 from repro.pebble.product import transducer_times_automaton
@@ -193,6 +194,19 @@ def bad_input_language(
 ) -> BottomUpTA:
     """The regular language ``{t | T(t) ⊈ tau2}`` (the complement of the
     inverse type)."""
+    _, not_tau2 = complement_output_type(transducer, output_type)
+    return _bad_inputs(transducer, not_tau2)
+
+
+def complement_output_type(
+    transducer: PebbleTransducer, output_type: TypeLike
+) -> tuple[BottomUpTA, TopDownTA]:
+    """``tau2`` over the transducer's output alphabet, and the top-down
+    form of its complement (Theorem 4.4, step 1).
+
+    A check keeps the coerced ``tau2`` for its witness phase, so it
+    builds the automaton from a DTD and fingerprints it once.
+    """
     governor = current_governor()
     tracer = current_tracer()
     with governor.phase("complement-output-type"), \
@@ -202,8 +216,15 @@ def bad_input_language(
         complemented = tau2.complemented().trimmed()
         with tracer.span("bu-to-td"):
             not_tau2 = bu_to_td(complemented)
-    with governor.phase("transducer-product"), \
-            tracer.span("transducer-product"):
+    return tau2, not_tau2
+
+
+def _bad_inputs(
+    transducer: PebbleTransducer, not_tau2: TopDownTA
+) -> BottomUpTA:
+    """The Prop 4.6 product with ``not_tau2``, regularized (Thm 4.7)."""
+    with current_governor().phase("transducer-product"), \
+            current_tracer().span("transducer-product"):
         product = transducer_times_automaton(transducer, not_tau2)
     return pebble_automaton_to_ta(product)
 
@@ -482,7 +503,8 @@ def _typecheck_exact(
     tracer = current_tracer()
     with tracer.span("coerce-input-type"):
         tau1 = as_automaton(input_type, transducer.input_alphabet)
-    bad = bad_input_language(transducer, output_type)
+    tau2, not_tau2 = complement_output_type(transducer, output_type)
+    bad = _bad_inputs(transducer, not_tau2)
     with ambient.phase("intersect-input-type"), \
             tracer.span("intersect-input-type"):
         # align alphabets before intersecting (types may use extra symbols)
@@ -507,10 +529,7 @@ def _typecheck_exact(
             return TypecheckResult(ok=True, method="exact", stats=stats)
         bad_output = (
             output_language(transducer, witness)
-            .intersection(
-                as_automaton(output_type, transducer.output_alphabet)
-                .complemented()
-            )
+            .intersection(tau2.complemented())
             .witness()
         )
     return TypecheckResult(

@@ -41,12 +41,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.automata.alternating import LazyTA, lazy_product_witness
-from repro.automata.convert import bu_to_td
 from repro.errors import TypecheckError
 from repro.pebble.output_automaton import output_language
 from repro.pebble.product import transducer_times_automaton
-from repro.pebble.quotient import quotient_pebble_automaton
-from repro.pebble.to_regular import trim_pebble_automaton
+from repro.pebble.to_regular import trim_quotient
 from repro.pebble.transducer import Emit0, Emit2, Move, PebbleTransducer
 from repro.pebble.two_way import (
     NONE,
@@ -523,10 +521,7 @@ def typecheck_fast(
     with gov.phase("witness"), tracer.span("witness"):
         bad_output = (
             output_language(transducer, bad)
-            .intersection(
-                as_automaton(output_type, transducer.output_alphabet)
-                .complemented()
-            )
+            .intersection(tau2.complemented())
             .witness()
         )
     return TypecheckResult(
@@ -561,7 +556,11 @@ def typecheck_lazy(
     transducer; the search result is memoized like the eager pipeline's
     constructions.
     """
-    from repro.typecheck.engine import TypecheckResult, as_automaton
+    from repro.typecheck.engine import (
+        TypecheckResult,
+        as_automaton,
+        complement_output_type,
+    )
 
     started = time.perf_counter()
     gov = current_governor()
@@ -573,17 +572,11 @@ def typecheck_lazy(
         )
     with tracer.span("coerce-input-type"):
         tau1 = as_automaton(input_type, transducer.input_alphabet)
-    with gov.phase("complement-output-type"), \
-            tracer.span("complement-output-type"):
-        with tracer.span("coerce-output-type"):
-            tau2 = as_automaton(output_type, transducer.output_alphabet)
-        complemented = tau2.complemented().trimmed()
-        with tracer.span("bu-to-td"):
-            not_tau2 = bu_to_td(complemented)
+    tau2, not_tau2 = complement_output_type(transducer, output_type)
     with gov.phase("transducer-product"), tracer.span("transducer-product"):
         product = transducer_times_automaton(transducer, not_tau2)
     with gov.phase("pebble-trim"), tracer.span("pebble-trim"):
-        walking = quotient_pebble_automaton(trim_pebble_automaton(product))
+        walking = trim_quotient(product)
     if not is_walking(walking):  # pragma: no cover - k==1 guarantees this
         raise TypecheckError(
             "lazy backward inference needs a walking product automaton"
@@ -660,10 +653,7 @@ def typecheck_lazy(
     with gov.phase("witness"), tracer.span("witness"):
         bad_output = (
             output_language(transducer, witness)
-            .intersection(
-                as_automaton(output_type, transducer.output_alphabet)
-                .complemented()
-            )
+            .intersection(tau2.complemented())
             .witness()
         )
     return TypecheckResult(

@@ -280,6 +280,28 @@ _KEY_SCRIPT = textwrap.dedent(
     print(memo_key("ta.determinize", (ta,),
                    (True, frozenset({"x", "y", "z"}))))
     print(stable_repr({"b": {1, 2}, "a": frozenset({"p", "q"})}))
+
+    # a key on a product the memo table built: it carries a derivation
+    from repro.lang import Apply, Out, Stylesheet, Template
+    from repro.lang import xslt_to_transducer
+    from repro.pebble import transducer_times_automaton
+    from repro.runtime.cache import configure_cache
+    from repro.typecheck.engine import complement_output_type
+    from repro.xmlio import parse_dtd
+
+    configure_cache(enabled=True)
+    sheet = Stylesheet([
+        Template("doc", [Out("D", [Apply()])]),
+        Template("sec", [Out("S", [Apply()])]),
+        Template("par", [Out("P")]),
+    ])
+    machine = xslt_to_transducer(sheet, tags={"doc", "sec", "par"},
+                                 root_tag="doc")
+    _, not_tau2 = complement_output_type(
+        machine, parse_dtd("D := S*\\nS := P*\\nP :=")
+    )
+    product = transducer_times_automaton(machine, not_tau2)
+    print(memo_key("pebble.to_regular", (product,)))
     """
 )
 
@@ -295,7 +317,9 @@ def test_memo_keys_are_stable_across_hash_seeds():
         assert process.returncode == 0, process.stderr
         outputs.append(process.stdout)
     assert outputs[0] == outputs[1]
-    assert "frozenset" not in outputs[0].splitlines()[1]
+    lines = outputs[0].splitlines()
+    assert "frozenset" not in lines[1]
+    assert lines[2].startswith("pebble.to_regular|drv:")
 
 
 def test_stable_repr_orders_sets_and_dicts():
