@@ -131,16 +131,16 @@ class BottomUpTA:
             return _reference().ta_reachable_states(self)
         return frozenset(ta_index(self).states_of(self._reachable_mask()))
 
-    def _reachable_mask(self) -> int:
-        """Reachable states as a bitmask over the intern table."""
+    def _reachable_mask(
+        self, rows: Optional[list[tuple[int, int, int]]] = None
+    ) -> int:
+        """Reachable states as a bitmask over the intern table (``rows``:
+        the :meth:`_sweep_rows`, when the caller already has them)."""
         governor = current_governor()
         idx = ta_index(self)
-        index = idx.index
         leaf_masks = list(idx.leaf.values())
-        rows = [
-            (index[left], index[right], tmask)
-            for (_, left, right), tmask in self._index_rows(idx)
-        ]
+        if rows is None:
+            rows = self._sweep_rows(idx)
         reach = 0
         changed = True
         while changed:
@@ -156,18 +156,28 @@ class BottomUpTA:
                     changed = True
         return reach
 
-    def _index_rows(self, idx: TAIndex):
-        """``((symbol, left, right), target_mask)`` in ``rules`` order."""
+    def _sweep_rows(self, idx: TAIndex) -> list[tuple[int, int, int]]:
+        """``(left index, right index, target mask)`` per internal rule,
+        sorted by intern index.
+
+        The fixpoint sweeps charge one step per row per pass, and the
+        number of passes depends on the row order.  ``rules`` order comes
+        from set iteration upstream, so it varies with the hash seed; the
+        intern order does not.
+        """
         index = idx.index
         mask_cache: dict[frozenset[State], int] = {}
-        for key, targets in self.rules.items():
+        rows = []
+        for (_, left, right), targets in self.rules.items():
             tmask = mask_cache.get(targets)
             if tmask is None:
                 tmask = 0
                 for q in targets:
                     tmask |= 1 << index[q]
                 mask_cache[targets] = tmask
-            yield key, tmask
+            rows.append((index[left], index[right], tmask))
+        rows.sort()
+        return rows
 
     def is_empty(self) -> bool:
         """True when the language is empty."""
@@ -871,14 +881,10 @@ class BottomUpTA:
     def _trimmed(self) -> "BottomUpTA":
         governor = current_governor()
         idx = ta_index(self)
-        index = idx.index
-        reach = self._reachable_mask()
+        rows = self._sweep_rows(idx)
+        reach = self._reachable_mask(rows)
         # co-reachability: a state is useful if some context takes it to
         # acceptance; computed by a backward fixpoint over bitmasks.
-        rows = [
-            (index[left], index[right], tmask)
-            for (_, left, right), tmask in self._index_rows(idx)
-        ]
         useful = idx.accepting_mask & reach
         changed = True
         while changed:

@@ -85,10 +85,14 @@ def _transducer_times_automaton(
         for level in transducer.levels
     ]
 
-    # Each product guard (symbol, (state, q_b), bits) is derived from
-    # exactly one transducer rule key, so one pass per rule fills all of
-    # its per-q_b buckets and commits them at once.
-    for (symbol, state, bits), actions in transducer.rules.items():
+    # A product guard's actions depend only on its transducer rule's
+    # action tuple and on q_b, so each distinct tuple is expanded into its
+    # per-q_b product tuples once and every guard with that tuple shares
+    # the same tuple objects; trim and quotient then do their per-action
+    # work once per distinct tuple (they key on the tuples' ids).
+    expansions: dict[tuple, list] = {}
+
+    def expand(actions: tuple) -> list:
         per_qb: list[list] = [[] for _ in b_states]
         for action in actions:
             if isinstance(action, Emit2):
@@ -137,10 +141,19 @@ def _transducer_times_automaton(
                     rows[action] = row
                 for j in nb:
                     per_qb[j].append(row[j])
+        return [tuple(bucket) if bucket else None for bucket in per_qb]
+
+    # Each product guard (symbol, (state, q_b), bits) is derived from
+    # exactly one transducer rule key, so one pass per rule commits all of
+    # its per-q_b guards at once.
+    for (symbol, state, bits), actions in transducer.rules.items():
+        expansion = expansions.get(actions)
+        if expansion is None:
+            expansion = expansions[actions] = expand(actions)
         state_pairs = pairs_of(state)
         for j in nb:
-            if per_qb[j]:
-                rules[(symbol, state_pairs[j], bits)] = tuple(per_qb[j])
+            if expansion[j] is not None:
+                rules[(symbol, state_pairs[j], bits)] = expansion[j]
     return PebbleAutomaton._trusted(
         alphabet=transducer.input_alphabet,
         levels=levels,

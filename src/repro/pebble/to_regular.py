@@ -624,21 +624,26 @@ def trim_quotient(automaton: PebbleAutomaton) -> PebbleAutomaton:
 def trim_pebble_automaton(automaton: PebbleAutomaton) -> PebbleAutomaton:
     """Drop states unreachable in the state graph (sound: configurations
     with unreachable states cannot influence acceptance).  Product
-    automata (Prop 4.6) shrink a lot under this."""
+    automata (Prop 4.6) shrink a lot under this.
+
+    Every target of a reachable state's action is itself reachable, so
+    the kept guards keep their action tuples unchanged (the very
+    objects).  The targets of each distinct tuple are computed once,
+    keyed by ``id()``: product guards share their tuples, and the rule
+    table pins them, so ids are stable.
+    """
+    targets_of: dict[int, tuple] = {}
+    by_state: dict = {}
+    for (_, state, _), actions in automaton.rules.items():
+        targets = targets_of.get(id(actions))
+        if targets is None:
+            targets = targets_of[id(actions)] = _action_targets(actions)
+        if targets:
+            by_state.setdefault(state, []).append(targets)
     reachable = {automaton.initial}
     frontier = [automaton.initial]
-    by_state: dict = {}
-    for (symbol, state, bits), actions in automaton.rules.items():
-        by_state.setdefault(state, []).extend(actions)
     while frontier:
-        state = frontier.pop()
-        for action in by_state.get(state, ()):
-            if isinstance(action, (Move, Place, Pick)):
-                targets = [action.target]
-            elif isinstance(action, Branch2):
-                targets = [action.left, action.right]
-            else:
-                targets = []
+        for targets in by_state.get(frontier.pop(), ()):
             for target in targets:
                 if target not in reachable:
                     reachable.add(target)
@@ -646,7 +651,7 @@ def trim_pebble_automaton(automaton: PebbleAutomaton) -> PebbleAutomaton:
     if reachable == set(automaton.level_of):
         return automaton
     levels = [
-        [state for state in sorted(level, key=repr) if state in reachable]
+        sorted((state for state in level if state in reachable), key=repr)
         for level in automaton.levels
     ]
     # every level needs at least one state; pad with the initial state's
@@ -654,37 +659,25 @@ def trim_pebble_automaton(automaton: PebbleAutomaton) -> PebbleAutomaton:
     for index, level in enumerate(levels):
         if not level:
             levels[index] = [("_dead", index)]
-    # per-action keep decisions are cached by object identity: product
-    # automata share one action object across many guards, and an id
-    # lookup skips re-hashing the dataclass (the rule table pins the
-    # objects, so ids are stable).
-    keep_cache: dict[int, bool] = {}
-
-    def keep(action) -> bool:
-        kept = keep_cache.get(id(action))
-        if kept is None:
-            kept = keep_cache[id(action)] = (
-                not isinstance(action, (Move, Place, Pick, Branch2))
-                or _targets_reachable(action, reachable)
-            )
-        return kept
-
-    rules = {
-        key: tuple(action for action in actions if keep(action))
-        for key, actions in automaton.rules.items()
-        if key[1] in reachable
-    }
     return PebbleAutomaton._trusted(
         alphabet=automaton.alphabet,
         levels=levels,
         initial=automaton.initial,
-        rules={key: actions for key, actions in rules.items() if actions},
+        rules={
+            key: actions
+            for key, actions in automaton.rules.items()
+            if actions and key[1] in reachable
+        },
     )
 
 
-def _targets_reachable(action, reachable: set) -> bool:
-    if isinstance(action, (Move, Place, Pick)):
-        return action.target in reachable
-    if isinstance(action, Branch2):
-        return action.left in reachable and action.right in reachable
-    return True
+def _action_targets(actions: tuple) -> tuple:
+    """The distinct states ``actions`` lead to."""
+    targets: dict = {}
+    for action in actions:
+        if isinstance(action, (Move, Place, Pick)):
+            targets[action.target] = None
+        elif isinstance(action, Branch2):
+            targets[action.left] = None
+            targets[action.right] = None
+    return tuple(targets)

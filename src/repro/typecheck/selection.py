@@ -141,7 +141,9 @@ def _inhabited_types(sdtd: SpecializedDTD) -> set[str]:
     changed = True
     while changed:
         changed = False
-        for type_name in sdtd.types:
+        # sorted: the number of passes, and so of content-model lookups,
+        # depends on the order, and ``types`` is a frozenset.
+        for type_name in sorted(sdtd.types):
             if type_name in inhabited:
                 continue
             dfa = sdtd.content_dfa(type_name)

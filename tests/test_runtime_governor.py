@@ -8,7 +8,12 @@ non-elementary blow-up of Theorem 4.8 made survivable), and the
 ``fallback=True`` degradation of :func:`repro.typecheck.typecheck`.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -392,3 +397,73 @@ class TestBoundedEnumerationStats:
         assert result.ok
         assert result.stats["inputs_checked"] == 5
         assert result.stats["enumeration_exhausted"] is False
+
+
+#: Scripts printing the governor steps of one construction whose loop
+#: order used to follow set iteration: ``ta.trimmed`` on Section 5's
+#: join-view output language (E12's database with four workers), and
+#: selection typechecking on the bibliography DTD (E04).
+_STEP_SCRIPTS = {
+    "output-language-trim": """
+        from repro.automata import td_to_bu
+        from repro.ext import (
+            Database, Dept, Person, WorksIn, abstract_view_transducer,
+            database_document,
+        )
+        from repro.pebble import output_automaton
+        from repro.runtime import ResourceGovernor, governed
+        from repro.trees import encode
+
+        database = Database(
+            persons=[Person(f"p{i}", f"name{i}") for i in range(4)],
+            worksin=[WorksIn(f"p{i}", f"d{i % 3}") for i in range(4)]
+            + [WorksIn("ghost", "d0")],
+            depts=[Dept(f"d{i}", f"dept{i}") for i in range(3)],
+        )
+        automaton = td_to_bu(output_automaton(
+            abstract_view_transducer(), encode(database_document(database))
+        ))
+        governor = ResourceGovernor()
+        with governed(governor):
+            automaton.trimmed()
+        print(governor.steps)
+        """,
+    "selection": """
+        from repro.data import bibliography_dtd
+        from repro.runtime import ResourceGovernor, governed
+        from repro.typecheck import typecheck_selection
+        from repro.xmlio import parse_dtd
+
+        governor = ResourceGovernor()
+        with governed(governor):
+            typecheck_selection(
+                "bib.book.author", bibliography_dtd(), parse_dtd("author :=")
+            )
+        print(governor.steps)
+        """,
+}
+
+
+class TestStepsAcrossHashSeeds:
+    """Step counts are the deterministic gate of the benchmark sweep, so
+    they must not follow the per-process string hash seed."""
+
+    @pytest.mark.parametrize("name", sorted(_STEP_SCRIPTS))
+    def test_equal_steps_under_two_hash_seeds(self, name):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            ),
+        }
+        steps = []
+        for seed in ("1", "2"):
+            process = subprocess.run(
+                [sys.executable, "-c", textwrap.dedent(_STEP_SCRIPTS[name])],
+                env={**env, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, timeout=120,
+            )
+            assert process.returncode == 0, process.stderr
+            steps.append(int(process.stdout))
+        assert steps[0] == steps[1] > 0
