@@ -629,7 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="number of concurrent worker subprocesses",
+        help="pool size: long-lived worker processes, one job each at a "
+             "time",
     )
     batch.add_argument(
         "--resume", action="store_true",

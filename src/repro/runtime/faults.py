@@ -19,9 +19,8 @@ Design constraints:
   and "30% of jobs crash" is reproducible bit-for-bit from the seed.
 * **Serializable.**  Plans round-trip through plain dicts
   (:meth:`FaultPlan.to_dict` / :meth:`FaultPlan.from_dict`) so the
-  supervisor can ship them to worker subprocesses inside the job payload
-  and the ``repro batch --faults plan.json`` flag can load them from
-  disk.
+  worker pool can ship them to the workers it forks and the
+  ``repro batch --faults plan.json`` flag can load them from disk.
 
 Fault actions:
 
@@ -39,14 +38,19 @@ Fault actions:
     a spurious memory blow-up for exercising the supervisor's RSS
     monitor and the worker's ``MemoryError`` backstop.
 
-Worker-side points (armed via the job payload):
+Worker-side points (armed in every pool worker from the supervisor's
+or the daemon's plan):
 
-====================  ====================================================
-``worker:setup``      after worker initialisation, before the job runs
-``worker:compute``    immediately before the job's actual computation
-``worker:result``     after the job computed, before the result is sent —
-                      a crash here proves results are not half-reported
-====================  ====================================================
+=====================  ===================================================
+``pool:worker-wedge``  in the worker's job loop before compute, outside
+                       the classified region — a ``delay`` here wedges
+                       the worker so the wall-limit SIGKILL + respawn
+                       path is exercised
+``worker:compute``     immediately before the job's actual computation
+``worker:result``      after the job computed, before the result is
+                       sent — a crash here proves results are not
+                       half-reported
+=====================  ===================================================
 
 Service-tier points (armed via ``repro serve --faults`` / the daemon
 config; exercised by the service chaos tests):
@@ -58,9 +62,6 @@ config; exercised by the service chaos tests):
 ``cache:stale-lock``   inside compaction's lock acquisition — an
                        ``exception`` here simulates an unyielding lock
                        holder; compaction must skip, never block serving
-``pool:worker-wedge``  in the pool worker's job loop before compute — a
-                       ``delay`` here wedges the worker so the daemon's
-                       wall-limit SIGKILL + respawn path is exercised
 =====================  ===================================================
 
 Overload points (PR 8; exercised by the overload chaos suite):

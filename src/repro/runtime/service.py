@@ -1,11 +1,12 @@
 """Typecheck-as-a-service: a crash-safe daemon with a pre-forked pool.
 
-PR 3's supervisor forks one worker per job attempt: perfect isolation,
-but every fork starts with a cold memo table, and PR 2 showed the warm
-table is worth ~4-5x on the exact pipeline.  This module keeps the
-supervision guarantees and adds the warmth:
+A batch pool lives for one ``repro batch`` call, so its warm memo
+table dies with the run, and the warm table is worth ~4-5x on the exact
+pipeline.  This module keeps one pool for the daemon's life and adds a
+shared persistent tier under it:
 
-* **Pre-forked, reusable pool.**  ``ServiceDaemon`` forks ``workers``
+* **Pre-forked, reusable pool.**  ``ServiceDaemon`` opens a
+  :class:`~repro.runtime.supervisor.WorkerPool` of ``workers``
   long-lived worker processes up front.  Each worker hydrates its
   in-process :class:`~repro.runtime.cache.MemoCache` from the shared
   :class:`~repro.runtime.diskcache.DiskCache` and then serves many jobs,
@@ -15,10 +16,11 @@ supervision guarantees and adds the warmth:
   ``recycle_rss_bytes``: leaks are bounded by construction, and the
   replacement re-hydrates from disk, so recycling sheds memory without
   shedding warmth.
-* **Supervision carries over.**  The per-job monitor loop is the
-  supervisor's: wall-clock and RSS polled against hard limits, SIGKILL
-  on breach, the same seven-way outcome taxonomy via
-  :meth:`Supervisor._classify`, the same schema-tagged result lines, and
+* **Supervision carries over.**  Each slot thread runs its jobs through
+  :meth:`Supervisor.run_on`, the loop behind ``repro batch``:
+  wall-clock and RSS polled against hard limits, SIGKILL on breach, the
+  same seven-way outcome taxonomy, the job's own ``retry`` policy with
+  exact→bounded degradation, the same schema-tagged result lines, and
   worker span trees grafted into the daemon's tracer.  A worker that
   dies (or is killed) is respawned with exponential backoff, and a
   **circuit breaker** per affinity key fast-fails submissions whose
@@ -77,7 +79,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import queue
 import signal
@@ -92,6 +93,7 @@ from typing import Any, Callable, Mapping, Optional
 from repro.errors import EXIT_OK, ServiceError, SupervisorError
 from repro.runtime.diskcache import DiskCache
 from repro.runtime.faults import FaultPlan, fault_point, install_plan
+from repro.runtime.governor import clamp_timeout
 from repro.runtime.jobs import affinity_key
 from repro.runtime.supervisor import (
     CRASHED,
@@ -103,10 +105,10 @@ from repro.runtime.supervisor import (
     JobResult,
     JobSpec,
     Supervisor,
-    _rss_bytes,
-    _worker_setup,
+    WorkerPool,
+    _deadline_at,
+    _Journal,
     completed_results,
-    execute_classified,
 )
 from repro.runtime.trace import current_tracer, tracing
 
@@ -161,7 +163,6 @@ class ServiceConfig:
     breaker_cooldown: float = 30.0
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
-    poll_interval: float = 0.02
     compact_on_start: bool = True
     fault_plan: Optional[FaultPlan] = None
     #: per-slot queue cap: a slot at this depth sheds instead of queueing
@@ -216,78 +217,6 @@ class ServiceConfig:
         if self.socket_path is not None:
             return Path(self.socket_path)
         return Path(self.directory) / "service.sock"
-
-
-# -- the pool worker body (runs in the forked subprocess) --------------------
-
-
-def _pool_worker_main(config: dict, conn) -> None:
-    """Serve jobs from ``conn`` until retired, EOF'd, or dead.
-
-    One message in (a job payload dict, or ``None`` to retire), one
-    message out (a classified outcome dict).  The worker installs its
-    own :class:`DiskCache` handle (sharing the parent's *directory*,
-    never its file objects) and hydrates the in-process memo table from
-    it, so a freshly recycled worker starts warm.  ``conn`` doubles as
-    the liveness contract: when the daemon dies — even ``kill -9`` — the
-    pipe EOFs and the worker exits instead of lingering as an orphan.
-    """
-    for fd in config.get("close_fds", ()):
-        try:  # the parent's lock and listening socket are not ours
-            os.close(fd)
-        except OSError:
-            pass
-    _worker_setup({})  # fork hygiene: fresh memo table, governor, tracer
-    plan = config.get("faults")
-    install_plan(FaultPlan.from_dict(plan) if plan else None)
-    from repro.runtime.cache import GLOBAL_CACHE, install_persistent
-
-    disk = DiskCache(config["cache_dir"], sync="flush")
-    install_persistent(disk)
-    hydrated = disk.hydrate(GLOBAL_CACHE, limit=config.get("hydrate_limit"))
-    try:
-        conn.send({"ready": True, "pid": os.getpid(), "hydrated": hydrated})
-        while True:
-            try:
-                payload = conn.recv()
-            except (EOFError, OSError):
-                break  # daemon gone: do not outlive it
-            if payload is None:
-                break  # graceful retirement
-            outcome = _serve_one(payload, disk)
-            try:
-                conn.send(outcome)
-            except (EOFError, OSError, BrokenPipeError):
-                break
-    finally:
-        install_persistent(None)
-        disk.close()
-        conn.close()
-
-
-def _serve_one(payload: Mapping, disk: DiskCache) -> dict:
-    """One job on a pool worker: wedge point, classify, commit segments."""
-    from repro.runtime.trace import NULL_TRACER, Tracer
-    from repro.runtime.trace import _ambient as _trace_ambient
-
-    key = str(payload.get("fault_key", ""))
-    if payload.get("trace"):
-        _trace_ambient.set(Tracer())
-    # outside the classified region on purpose: an ``exception`` armed
-    # here kills the worker (exercising respawn), a ``delay`` wedges it
-    # (exercising the wall-limit SIGKILL)
-    fault_point("pool:worker-wedge", key)
-    outcome = execute_classified(payload)
-    try:
-        disk.flush()  # the job is the commit unit for cache segments
-    except OSError:  # pragma: no cover - full disk etc.
-        pass
-    tracer = current_tracer()
-    if payload.get("trace") and tracer.active and tracer.root is not None:
-        outcome["trace"] = tracer.to_jsonable()
-    _trace_ambient.set(NULL_TRACER)
-    outcome["worker"] = {"pid": os.getpid()}
-    return outcome
 
 
 # -- daemon-side bookkeeping -------------------------------------------------
@@ -552,22 +481,6 @@ class _Waiter:
         self.deferred = False
 
 
-class _WorkerHandle:
-    """One pool slot's live process (or ``None`` between incarnations)."""
-
-    __slots__ = ("process", "conn", "jobs_done", "crash_streak",
-                 "respawns", "recycles", "hydrated")
-
-    def __init__(self) -> None:
-        self.process = None
-        self.conn = None
-        self.jobs_done = 0
-        self.crash_streak = 0
-        self.respawns = 0
-        self.recycles = 0
-        self.hydrated = 0
-
-
 # -- the daemon --------------------------------------------------------------
 
 
@@ -592,16 +505,26 @@ class ServiceDaemon:
         self.replayed = 0
         self._lock_handle = None
         self._server: Optional[socket.socket] = None
-        self._workers = [_WorkerHandle() for _ in range(config.workers)]
+        self._pool = WorkerPool(
+            config.workers,
+            fault_plan=config.fault_plan,
+            cache_dir=str(self.cache_dir),
+            hydrate_limit=config.hydrate_limit,
+            recycle_jobs=config.recycle_jobs,
+            recycle_rss_bytes=config.recycle_rss_bytes,
+            backoff_base=config.backoff_base,
+            backoff_cap=config.backoff_cap,
+            inherited_fds=self._inherited_fds,
+        )
+        self._supervisor = Supervisor(limits=config.limits)
         self._queues: list[queue.Queue] = [
             queue.Queue() for _ in range(config.workers)
         ]
         self._threads: list[threading.Thread] = []
         self._waiters: dict[str, _Waiter] = {}
         self._waiters_lock = threading.Lock()
-        self._journal_lock = threading.Lock()
-        self._queue_handle = None
-        self._results_handle = None
+        self._queue_journal: Optional[_Journal] = None
+        self._results_journal: Optional[_Journal] = None
         self._breaker = _CircuitBreaker(
             config.breaker_threshold, config.breaker_cooldown
         )
@@ -623,10 +546,6 @@ class ServiceDaemon:
         self._stopped = threading.Event()
         self._started = False
         self._tracer = None
-        self._mp = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
 
     # -- paths -------------------------------------------------------------
 
@@ -662,15 +581,15 @@ class ServiceDaemon:
             # live writer; a busy/faulted lock skips harmlessly
             self.cache.compact()
         pending = self._replay_queue()
-        self._open_journals()
+        self._queue_journal = _Journal(self.queue_path)
+        self._results_journal = _Journal(self.results_path)
         if self.config.fault_plan is not None:
             # arm the daemon-side points (pool:backlog-storm,
             # job:deadline-expired, client:slow-read); armed *after*
             # recovery/compaction so startup chaos semantics are the
             # workers' alone
             install_plan(self.config.fault_plan)
-        for slot in range(self.config.workers):
-            self._spawn(slot)
+        self._pool.start()
         for slot in range(self.config.workers):
             thread = threading.Thread(
                 target=self._slot_loop, args=(slot,),
@@ -737,17 +656,9 @@ class ServiceDaemon:
         for thread in self._threads:
             if thread is not threading.current_thread():
                 thread.join(timeout=30.0)
-        with self._journal_lock:
-            for handle in (self._queue_handle, self._results_handle):
-                if handle is not None:
-                    try:
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                        handle.close()
-                    except (OSError, ValueError):
-                        pass
-            self._queue_handle = None
-            self._results_handle = None
+        for journal in (self._queue_journal, self._results_journal):
+            if journal is not None:
+                journal.close()
         self._costs.save()
         if self.cache is not None:
             self.cache.close()
@@ -840,18 +751,6 @@ class ServiceDaemon:
         _fsync_directory(self.directory)
         return pending
 
-    def _open_journals(self) -> None:
-        for path in (self.queue_path, self.results_path):
-            path.touch(exist_ok=True)
-        self._queue_handle = open(self.queue_path, "a", encoding="utf-8")
-        self._results_handle = open(self.results_path, "a", encoding="utf-8")
-        # terminate a torn final result line so the next record parses
-        if self._results_handle.tell() > 0:
-            with open(self.results_path, "rb") as probe:
-                probe.seek(-1, os.SEEK_END)
-                if probe.read(1) != b"\n":
-                    self._results_handle.write("\n")
-
     def _open_socket(self) -> None:
         try:
             if self.socket_path.exists():
@@ -892,70 +791,6 @@ class ServiceDaemon:
         if self._server is not None:
             fds.append(self._server.fileno())
         return fds
-
-    def _spawn(self, slot: int) -> None:
-        handle = self._workers[slot]
-        parent_conn, child_conn = self._mp.Pipe(duplex=True)
-        config = {
-            "cache_dir": str(self.cache_dir),
-            "hydrate_limit": self.config.hydrate_limit,
-            "faults": (
-                self.config.fault_plan.to_dict()
-                if self.config.fault_plan is not None else None
-            ),
-            "close_fds": self._inherited_fds(),
-        }
-        process = self._mp.Process(
-            target=_pool_worker_main, args=(config, child_conn), daemon=True
-        )
-        process.start()
-        child_conn.close()
-        handle.process = process
-        handle.conn = parent_conn
-        handle.jobs_done = 0
-        try:
-            if parent_conn.poll(10.0):
-                ready = parent_conn.recv()
-                handle.hydrated = int(ready.get("hydrated", 0))
-        except (EOFError, OSError):  # died during setup; next job respawns
-            pass
-
-    def _retire(self, slot: int, *, recycle: bool = False) -> None:
-        handle = self._workers[slot]
-        if handle.process is None:
-            return
-        try:
-            handle.conn.send(None)
-        except (OSError, BrokenPipeError):
-            pass
-        handle.process.join(timeout=5.0)
-        if handle.process.is_alive():  # pragma: no cover - defensive
-            handle.process.kill()
-            handle.process.join(timeout=5.0)
-        try:
-            handle.conn.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
-        handle.process = None
-        handle.conn = None
-        if recycle:
-            handle.recycles += 1
-
-    def _ensure_worker(self, slot: int) -> _WorkerHandle:
-        handle = self._workers[slot]
-        if handle.process is None or not handle.process.is_alive():
-            if handle.process is not None:
-                self._retire(slot)
-            if handle.crash_streak > 0:
-                pause = min(
-                    self.config.backoff_base * 2 ** (handle.crash_streak - 1),
-                    self.config.backoff_cap,
-                )
-                if pause > 0:
-                    time.sleep(pause)
-                handle.respawns += 1
-            self._spawn(slot)
-        return handle
 
     # -- routing and execution ---------------------------------------------
 
@@ -1001,21 +836,12 @@ class ServiceDaemon:
                 # burst piles the backlog / outlives a queued deadline
                 fault_point("pool:backlog-storm", str(slot))
                 fault_point("job:deadline-expired", spec.id)
-                now = time.monotonic()
                 if self._controller is not None:
-                    self._controller.observe_wait(now - enqueued_at)
-                if deadline_at is not None and now >= deadline_at:
-                    # expired while queued: answer shed, burn no worker
-                    result = self._shed_result(
-                        spec, "deadline-expired",
-                        f"deadline of {spec.deadline_ms}ms expired after "
-                        f"{now - enqueued_at:.3f}s in queue; nothing was "
-                        "executed",
+                    self._controller.observe_wait(
+                        time.monotonic() - enqueued_at
                     )
-                    self._finish(spec, result, waiter)
-                    continue
-                result = self._execute_on_slot(slot, spec, deadline_at)
-                self._finish(spec, result, waiter)
+                self._finish(spec, self._execute(slot, spec, deadline_at),
+                             waiter)
         # drain: whatever never started stays journaled for the next
         # daemon; its waiter learns it was deferred, not lost
         while True:
@@ -1026,171 +852,68 @@ class ServiceDaemon:
             waiter = item[1]
             waiter.deferred = True
             waiter.event.set()
-        self._retire(slot)
+        self._pool.retire(slot)
 
-    def _execute_on_slot(
-        self, slot: int, spec: JobSpec,
-        deadline_at: Optional[float] = None,
-    ) -> JobResult:
-        limits = (
-            spec.limits if spec.limits is not None else self.config.limits
-        )
-        handle = self._ensure_worker(slot)
-        payload = spec.to_dict()
+    def _execute(self, slot: int, spec: JobSpec,
+                 deadline_at: Optional[float]) -> JobResult:
+        """Run ``spec`` through the supervisor's retry loop on ``slot``.
+
+        Brownout and audit are applied to the spec first; a deadline
+        that expired in queue is answered ``shed`` by the loop itself,
+        without touching the worker.
+        """
         pressure = self._controller.level if self._controller else 0
-        remaining = (
-            deadline_at - time.monotonic()
-            if deadline_at is not None else None
-        )
-        if remaining is not None:
-            # propagate the end-to-end deadline: the worker installs a
-            # cooperative Deadline from this (jobs.execute_job clamps the
-            # params timeout) and the hard wall backs it up
-            payload["deadline_seconds"] = max(remaining, 0.001)
-            wall_limit = limits.wall_seconds
-            if wall_limit is None or wall_limit > remaining:
-                limits = replace(limits, wall_seconds=max(remaining, 0.001))
-        if pressure >= 1:
-            # tightened budgets: no single job may hold a worker longer
-            # than the latency budget the controller is defending
-            budget = self.config.latency_budget
-            payload["deadline_seconds"] = min(
-                payload.get("deadline_seconds", budget), budget
+        with current_tracer().span(f"serve:{spec.id}", kind=spec.kind,
+                                   slot=slot) as span:
+            result = self._supervisor.run_on(
+                self._pool, slot, self._adjusted(spec, pressure),
+                deadline_at=deadline_at,
             )
-            wall_limit = limits.wall_seconds
-            if wall_limit is None or wall_limit > budget:
-                limits = replace(limits, wall_seconds=budget)
-        if (pressure >= 2 and spec.kind == "typecheck"
-                and payload["params"].get("method", "exact") != "bounded"):
-            # bounded-only: the cheap falsifier tier (paper §5) for
-            # everyone until pressure subsides (covers every exact-class
-            # route — auto/exact/fast/lazy)
-            payload["params"] = dict(payload["params"])
-            payload["params"]["method"] = "bounded"
-        if (self.config.audit != "off" and spec.kind == "typecheck"
-                and "audit" not in payload["params"]):
-            # certification before journaling: the worker audits its own
-            # verdict (and quarantines its memo tiers on refutation)
-            payload["params"] = dict(payload["params"])
-            payload["params"]["audit"] = self.config.audit
-        payload["limits"] = limits.to_dict()
-        payload["fault_key"] = f"{spec.id}#1"
-        tracer = current_tracer()
-        if tracer.active:
-            payload["trace"] = True
-        started = time.monotonic()
-        outcome: Optional[dict] = None
-        killed: Optional[str] = None
-        sent = False
-        with tracer.span(f"serve:{spec.id}", kind=spec.kind,
-                         slot=slot) as span:
-            try:
-                handle.conn.send(payload)
-                sent = True
-            except (OSError, BrokenPipeError):
-                pass  # found it dead: classify as crashed, respawn below
-            if sent:
-                outcome, killed = self._monitor(handle, limits, started)
-            wall = time.monotonic() - started
-            if (outcome is None and handle.process is not None
-                    and killed is None):
-                # the pipe EOF can beat the reaper: give the dead child a
-                # moment to be collected so its -signal exitcode is real
-                handle.process.join(timeout=1.0)
-            exitcode = (
-                handle.process.exitcode if handle.process is not None
-                else None
-            )
-            if isinstance(outcome, dict) and "trace" in outcome:
-                tracer.graft(outcome.pop("trace"))
-            record = Supervisor._classify(
-                spec, 1, outcome, killed, exitcode, wall, limits
-            )
-            span.set(status=record["status"])
+            span.set(status=result.status)
+        if result.status == SHED:
+            return result
         if pressure > 0:
-            record.setdefault("detail", {})["brownout"] = \
-                PRESSURE_LEVELS[pressure]
+            result.detail["brownout"] = PRESSURE_LEVELS[pressure]
         # feed the admission cost model with what execution actually cost
         # (timeouts count at their observed wall: hitting the wall *is*
         # the cost signal admission needs)
-        self._costs.record(affinity_key(spec.to_dict()), wall)
-        if outcome is None or killed is not None:
-            # the incumbent is dead or condemned: make sure it is gone,
-            # and remember the streak for respawn backoff
-            if handle.process is not None and handle.process.is_alive():
-                handle.process.kill()
-            self._retire(slot)
-            handle.crash_streak += 1
-        else:
-            handle.crash_streak = 0
-            handle.jobs_done += 1
-            self._maybe_recycle(slot, handle)
-        cache = record.get("detail", {}).get("stats", {}).get("cache")
-        if isinstance(cache, dict):
-            cache["job_id"] = spec.id
-        detail = record.get("detail", {})
-        audit_report = detail.get("stats", {}).get("audit")
+        self._costs.record(affinity_key(spec.to_dict()), result.wall_seconds)
+        audit_report = result.detail.get("stats", {}).get("audit")
         if isinstance(audit_report, dict) and audit_report.get("status"):
             self._audit_outcomes[str(audit_report["status"])] += 1
-        quarantine = detail.get("quarantine")
+        quarantine = result.detail.get("quarantine")
         if isinstance(quarantine, dict):
             self._quarantined_keys += int(
                 quarantine.get("disk_quarantined", 0)
             )
-        return JobResult(
-            id=spec.id,
-            status=record["status"],
-            attempts=1,
-            wall_seconds=time.monotonic() - started,
-            detail=record.get("detail", {}),
-            history=[record],
-        )
+        return result
 
-    def _monitor(
-        self, handle: _WorkerHandle, limits: JobLimits, started: float
-    ) -> tuple[Optional[dict], Optional[str]]:
-        """The supervisor's hard-limit poll loop, against a pool worker."""
-        conn = handle.conn
-        process = handle.process
-        deadline = (
-            started + limits.wall_seconds
-            if limits.wall_seconds is not None else None
-        )
-        while True:
-            try:
-                if conn.poll(self.config.poll_interval):
-                    return conn.recv(), None
-            except (EOFError, OSError):
-                return None, None  # worker died with the pipe open
-            if deadline is not None and time.monotonic() >= deadline:
-                if conn.poll(0):
-                    return conn.recv(), None
-                process.kill()
-                return None, TIMEOUT
-            if limits.rss_bytes is not None and process.pid is not None:
-                usage = _rss_bytes(process.pid)
-                if usage is not None and usage > limits.rss_bytes:
-                    if conn.poll(0):
-                        return conn.recv(), None
-                    process.kill()
-                    return None, OOM
-            if not process.is_alive():
-                try:
-                    if conn.poll(0.25):
-                        return conn.recv(), None
-                except (EOFError, OSError):
-                    pass
-                return None, None
-
-    def _maybe_recycle(self, slot: int, handle: _WorkerHandle) -> None:
-        if handle.jobs_done >= self.config.recycle_jobs:
-            self._retire(slot, recycle=True)
-            return
-        watermark = self.config.recycle_rss_bytes
-        if watermark is not None and handle.process is not None:
-            usage = _rss_bytes(handle.process.pid)
-            if usage is not None and usage > watermark:
-                self._retire(slot, recycle=True)
+    def _adjusted(self, spec: JobSpec, pressure: int) -> JobSpec:
+        """``spec`` under the current pressure level and audit mode."""
+        params = dict(spec.params)
+        limits = spec.limits
+        if pressure >= 1:
+            # tightened budgets: no single job may hold a worker longer
+            # than the latency budget the controller is defending
+            budget = self.config.latency_budget
+            limits = limits if limits is not None else self.config.limits
+            if limits.wall_seconds is None or limits.wall_seconds > budget:
+                limits = replace(limits, wall_seconds=budget)
+            if spec.kind in ("typecheck", "run"):
+                params["timeout"] = clamp_timeout(params.get("timeout"),
+                                                  budget)
+        if (pressure >= 2 and spec.kind == "typecheck"
+                and params.get("method", "exact") != "bounded"):
+            # bounded-only: the cheap falsifier tier (paper §5) for
+            # everyone until pressure subsides (covers every exact-class
+            # route — auto/exact/fast/lazy)
+            params["method"] = "bounded"
+        if (self.config.audit != "off" and spec.kind == "typecheck"
+                and "audit" not in params):
+            # certification before journaling: the worker audits its own
+            # verdict (and quarantines its memo tiers on refutation)
+            params["audit"] = self.config.audit
+        return replace(spec, params=params, limits=limits)
 
     # -- submission and journaling -----------------------------------------
 
@@ -1232,14 +955,11 @@ class ServiceDaemon:
                     "breaker": affinity,
                 },
             )
-            self._journal_result(result)
+            self._results_journal.append(result.to_jsonable())
             self._served[result.status] += 1
             return {"ok": True, "result": result.to_jsonable(),
                     "fast_failed": True}
-        deadline_at = (
-            time.monotonic() + spec.deadline_ms / 1000.0
-            if spec.deadline_ms is not None else None
-        )
+        deadline_at = _deadline_at(spec)
         if deadline_at is not None:
             estimate = self._costs.estimate(affinity)
             remaining = deadline_at - time.monotonic()
@@ -1280,57 +1000,42 @@ class ServiceDaemon:
 
     def _shed_result(self, spec: JobSpec, reason: str,
                      message: str) -> JobResult:
-        """Build, journal and count a ``shed`` outcome (nothing executed)."""
+        """Build and record a ``shed`` outcome (nothing executed)."""
         result = JobResult(
             id=spec.id, status=SHED, attempts=0, wall_seconds=0.0,
             detail={"shed": reason, "error": message},
         )
-        self._journal_result(result)
-        self._served[SHED] += 1
-        self._shed_reasons[reason] += 1
-        if self._tracer is not None and self._tracer.active:
-            self._tracer.metrics.counter(f"service.shed.{reason}").inc()
+        self._record(spec, result)
         return result
 
     def _finish(self, spec: JobSpec, result: JobResult,
                 waiter: _Waiter) -> None:
-        if result.status != SHED:
-            # shed outcomes are journaled by _shed_result and must not
-            # touch the breaker: nothing executed, so they are evidence
-            # of *load*, not of the input's health
-            self._journal_result(result)
-            self._breaker.record(affinity_key(spec.to_dict()), result.status)
-            self._served[result.status] += 1
+        self._record(spec, result)
         with self._waiters_lock:
             self._waiters.pop(spec.id, None)
         waiter.result = result
         waiter.event.set()
 
-    def _journal_queue(self, spec: JobSpec) -> None:
-        line = json.dumps(
-            {"schema": QUEUE_SCHEMA, "spec": spec.to_dict()}, sort_keys=True
-        )
-        with self._journal_lock:
-            if self._queue_handle is None:
-                # drained already — but a ``deferred`` ack is a durability
-                # promise, so append directly rather than dropping
-                with open(self.queue_path, "a", encoding="utf-8") as handle:
-                    handle.write(line + "\n")
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                return
-            self._queue_handle.write(line + "\n")
-            self._queue_handle.flush()
-            os.fsync(self._queue_handle.fileno())
+    def _record(self, spec: JobSpec, result: JobResult) -> None:
+        """Journal a final result and count it."""
+        self._results_journal.append(result.to_jsonable())
+        self._served[result.status] += 1
+        if result.status == SHED:
+            # nothing executed, so a shed is evidence of *load*, not of
+            # the input's health: it never touches the breaker
+            reason = result.detail["shed"]
+            self._shed_reasons[reason] += 1
+            if self._tracer is not None and self._tracer.active:
+                self._tracer.metrics.counter(f"service.shed.{reason}").inc()
+        else:
+            self._breaker.record(affinity_key(spec.to_dict()), result.status)
 
-    def _journal_result(self, result: JobResult) -> None:
-        line = json.dumps(result.to_jsonable(), sort_keys=True)
-        with self._journal_lock:
-            if self._results_handle is None:  # pragma: no cover - draining
-                return
-            self._results_handle.write(line + "\n")
-            self._results_handle.flush()
-            os.fsync(self._results_handle.fileno())
+    def _journal_queue(self, spec: JobSpec) -> None:
+        # lands even after a drain closed the journal: a ``deferred`` ack
+        # is a durability promise
+        self._queue_journal.append(
+            {"schema": QUEUE_SCHEMA, "spec": spec.to_dict()}
+        )
 
     # -- observability -----------------------------------------------------
 
@@ -1361,24 +1066,7 @@ class ServiceDaemon:
                 "quarantined_keys": self._quarantined_keys,
             },
             "cache": cache_stats,
-            "workers": [
-                {
-                    "slot": slot,
-                    "pid": (
-                        handle.process.pid
-                        if handle.process is not None else None
-                    ),
-                    "alive": (
-                        handle.process is not None
-                        and handle.process.is_alive()
-                    ),
-                    "jobs_done": handle.jobs_done,
-                    "respawns": handle.respawns,
-                    "recycles": handle.recycles,
-                    "hydrated": handle.hydrated,
-                }
-                for slot, handle in enumerate(self._workers)
-            ],
+            "workers": self._pool.snapshot(),
         }
 
     def health(self) -> dict:

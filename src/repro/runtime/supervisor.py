@@ -7,15 +7,18 @@ allocating faster than any step counter can express.  A serving system
 survives that only with *process* supervision, which is what this module
 adds:
 
-* **Isolation** — every job attempt runs in its own worker subprocess
-  with a fresh memo table and a fresh ambient governor; nothing leaks
-  between jobs, and nothing a job does can corrupt the supervisor.
-* **Hard limits** — the supervisor polls the worker's wall clock and
+* **Isolation** — every job attempt runs on a worker of a
+  :class:`WorkerPool`, the one executor: a long-lived forked process
+  that starts from a fresh memo table and a fresh ambient governor, so
+  nothing a job does can corrupt the supervisor.  ``run_batch`` opens a
+  pool for the call, ``run_job`` a one-shot pool, and the service daemon
+  keeps one for its life; the jobs of one slot share its memo table.
+* **Hard limits** — each attempt polls the worker's wall clock and
   resident set (``/proc/<pid>/statm``) and ``SIGKILL``\\ s on breach; the
-  worker additionally arms an ``RLIMIT_AS`` backstop so a single giant
-  allocation between polls dies as ``MemoryError`` instead of taking the
-  host down.  Not cooperative: a worker stuck in C is killed all the
-  same.
+  worker additionally arms an ``RLIMIT_AS`` backstop from each job's
+  limits so a single giant allocation between polls dies as
+  ``MemoryError`` instead of taking the host down.  Not cooperative: a
+  worker stuck in C is killed all the same.
 * **Classification** — every attempt ends in exactly one of
   ``ok`` / ``type-error`` / ``usage-error`` / ``exhausted`` (cooperative
   budget, with the governor's diagnostics) / ``timeout`` (SIGKILL at the
@@ -32,7 +35,7 @@ adds:
   resource failure) so the retry fails fast and diagnosably instead of
   being killed again.
 * **Checkpointed batches** — :meth:`Supervisor.run_batch` fans a JSONL
-  manifest out across worker threads, streams one JSON line per finished
+  manifest out across the pool's slots, streams one JSON line per finished
   job to the results log (flushed and fsynced), and treats that log as
   the checkpoint: a killed batch re-run with ``resume=True`` skips every
   job already recorded, so finished work is never recomputed and no job
@@ -63,7 +66,7 @@ import traceback
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.errors import (
     EXIT_CRASHED,
@@ -80,7 +83,13 @@ from repro.errors import (
 )
 from repro.runtime.faults import FaultPlan, fault_point, install_plan
 from repro.runtime.jobs import JOB_KINDS, execute_job
-from repro.runtime.trace import current_tracer, tracing
+from repro.runtime.trace import NULL_TRACER, Tracer, current_tracer, tracing
+from repro.runtime.trace import _ambient as _trace_ambient
+
+try:  # pragma: no cover - exercised on every POSIX platform
+    import resource
+except ImportError:  # pragma: no cover - non-POSIX fallback
+    resource = None  # type: ignore[assignment]
 
 __all__ = [
     "OK",
@@ -100,6 +109,7 @@ __all__ = [
     "RESULT_SCHEMA",
     "BatchReport",
     "Supervisor",
+    "WorkerPool",
     "execute_classified",
     "load_manifest",
     "completed_job_ids",
@@ -119,10 +129,12 @@ CRASHED = "crashed"
 MISCOMPILED = "miscompiled"
 
 #: Every status a job can finish with, exactly one per job.  ``shed`` is
-#: special: workers never produce it — only an overloaded service daemon
-#: answers it, at admission or while the job waits in queue, and always
-#: *without* executing anything (``attempts`` is 0), so a shed job is
-#: retryable by construction.  ``miscompiled`` is the audit's verdict:
+#: special: workers never produce it — the service daemon's admission
+#: control answers it under load, and the retry loop once the job's
+#: deadline runs out before an attempt starts; the shed itself executes
+#: nothing (``attempts`` counts only the attempts that ran, 0 for a job
+#: refused outright), so a shed job is retryable by construction.
+#: ``miscompiled`` is the audit's verdict:
 #: the job *completed* but its answer failed independent certification
 #: (:mod:`repro.audit`), which outranks every other failure — a crash is
 #: loud, a wrong answer is silent.
@@ -409,7 +421,7 @@ class BatchReport:
         return EXIT_OK
 
 
-# -- the worker body (runs in the subprocess) --------------------------------
+# -- the worker (runs in the forked subprocess) ------------------------------
 
 #: Slack multiplier for the worker-side ``RLIMIT_AS`` backstop: address
 #: space exceeds resident set by a wide margin (arenas, mappings), so the
@@ -418,67 +430,149 @@ class BatchReport:
 _AS_BACKSTOP_FACTOR = 4
 _AS_BACKSTOP_SLACK = 256 * 1024 * 1024
 
+#: How often an attempt polls its worker's pipe, wall clock and RSS.
+_POLL_SECONDS = 0.02
 
-def _worker_setup(payload: Mapping) -> None:
-    """Reset inherited state and arm limits — the isolation contract.
 
-    Workers may be forked, so anything ambient in the parent (memo table
-    contents and counters, an installed governor, an armed fault plan)
-    must be explicitly reset for ``stats`` deltas to be per-job truths.
+def _pool_worker(config: Mapping, conn) -> None:
+    """Serve job payloads from ``conn`` until retired, EOF'd, or dead.
+
+    One message in (a job payload dict, or ``None`` to retire), one
+    message out (a classified outcome dict).  Workers are forked, so
+    everything ambient in the parent — memo table contents and counters,
+    an installed governor, tracer or fault plan, a persistent tier — is
+    reset before the first job: a job can never observe the driver's
+    budget or warm entries.  With a ``cache_dir`` the worker opens its
+    *own* :class:`~repro.runtime.diskcache.DiskCache` on that directory
+    (never the parent's file objects) and hydrates its memo table from
+    it, so a fresh worker starts warm.  ``conn`` doubles as the liveness
+    contract: when the driver dies — even ``kill -9`` — the pipe EOFs and
+    an idle worker exits instead of lingering as an orphan.  That holds
+    only because the worker first closes every driver-side pipe end it
+    inherited, its own included (``close_fds``).  A busy worker cannot
+    see that EOF, so a watchdog thread waits on the parent's sentinel
+    and ends the worker mid-job.
     """
-    limits = payload.get("limits") or {}
-    rss = limits.get("rss_bytes")
-    if rss:
-        try:
-            import resource
-
-            backstop = int(rss) * _AS_BACKSTOP_FACTOR + _AS_BACKSTOP_SLACK
-            _, hard = resource.getrlimit(resource.RLIMIT_AS)
-            if hard != resource.RLIM_INFINITY:
-                backstop = min(backstop, hard)
-            resource.setrlimit(resource.RLIMIT_AS, (backstop, hard))
-        except (ImportError, ValueError, OSError):  # pragma: no cover
+    for fd in config.get("close_fds", ()):
+        try:  # driver-side pipe ends, the daemon's lock and socket
+            os.close(fd)
+        except OSError:
             pass
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(target=_exit_with_parent, args=(parent.sentinel,),
+                         name="parent-watchdog", daemon=True).start()
     from repro.runtime.cache import GLOBAL_CACHE, clear_cache, install_persistent
     from repro.runtime.governor import NULL_GOVERNOR, _ambient
-    from repro.runtime.trace import NULL_TRACER, Tracer
-    from repro.runtime.trace import _ambient as _trace_ambient
 
     _ambient.set(NULL_GOVERNOR)
     _trace_ambient.set(NULL_TRACER)
     clear_cache()
     GLOBAL_CACHE.reset_stats()
-    # a forked service worker must not share the parent's DiskCache
-    # handle (buffered writer, fcntl locks are per-process); workers
-    # that want the persistent tier open their own instance after setup
     install_persistent(None)
-    if payload.get("trace"):
-        # the driver is tracing: record a fresh span tree in this worker
-        # and ship it back with the outcome (stitched in _run_attempt)
-        _trace_ambient.set(Tracer())
-    plan = payload.get("faults")
+    plan = config.get("faults")
     install_plan(FaultPlan.from_dict(plan) if plan else None)
+    disk = None
+    hydrated = 0
+    if config.get("cache_dir"):
+        from repro.runtime.diskcache import DiskCache
+
+        disk = DiskCache(config["cache_dir"], sync="flush")
+        install_persistent(disk)
+        hydrated = disk.hydrate(GLOBAL_CACHE,
+                                limit=config.get("hydrate_limit"))
+    address_space = (
+        resource.getrlimit(resource.RLIMIT_AS) if resource else None
+    )
+    try:
+        conn.send({"ready": True, "pid": os.getpid(), "hydrated": hydrated})
+        while True:
+            try:
+                payload = conn.recv()
+            except (EOFError, OSError):
+                break  # the driver is gone: do not outlive it
+            if payload is None:
+                break  # graceful retirement
+            outcome = _serve_one(payload, disk, address_space)
+            fault_point("worker:result", str(payload.get("fault_key", "")))
+            try:
+                conn.send(outcome)
+            except OSError:
+                break
+    finally:
+        install_persistent(None)
+        if disk is not None:
+            disk.close()
+        conn.close()
 
 
-def execute_classified(
-    payload: Mapping, *, setup: Optional[Callable[[], None]] = None
-) -> dict:
+def _exit_with_parent(sentinel: int) -> None:
+    """Block until the driver process is gone, then end this worker."""
+    try:
+        os.read(sentinel, 1)  # the driver never writes: this is EOF
+    except OSError:
+        pass
+    os._exit(1)
+
+
+def _serve_one(payload: Mapping, disk, address_space) -> dict:
+    """One job on a worker: arm its backstop, wedge point, classify,
+    commit cache segments."""
+    key = str(payload.get("fault_key", ""))
+    _arm_backstop((payload.get("limits") or {}).get("rss_bytes"),
+                  address_space)
+    if payload.get("trace"):
+        # the driver is tracing: record a fresh span tree for this job
+        # and ship it back with the outcome (grafted by run_attempt)
+        _trace_ambient.set(Tracer())
+    # outside the classified region on purpose: an ``exception`` armed
+    # here kills the worker (exercising respawn), a ``delay`` wedges it
+    # (exercising the wall-limit SIGKILL)
+    fault_point("pool:worker-wedge", key)
+    outcome = execute_classified(payload)
+    if disk is not None:
+        try:
+            disk.flush()  # the job is the commit unit for cache segments
+        except OSError:  # pragma: no cover - full disk etc.
+            pass
+    tracer = current_tracer()
+    if payload.get("trace") and tracer.active and tracer.root is not None:
+        # the span tree rides the result pipe as plain JSON-able dicts,
+        # so stitching works for fork and spawn alike
+        outcome["trace"] = tracer.to_jsonable()
+    _trace_ambient.set(NULL_TRACER)
+    outcome["worker"] = {"pid": os.getpid()}
+    return outcome
+
+
+def _arm_backstop(rss_bytes: Optional[int], address_space) -> None:
+    """Set this worker's ``RLIMIT_AS`` for one job: a backstop above the
+    job's RSS limit, or the limit the worker started with if it has none.
+    """
+    if address_space is None:  # pragma: no cover - non-POSIX
+        return
+    soft, hard = address_space
+    if rss_bytes:
+        soft = int(rss_bytes) * _AS_BACKSTOP_FACTOR + _AS_BACKSTOP_SLACK
+        if hard != resource.RLIM_INFINITY:
+            soft = min(soft, hard)
+    try:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    except (ValueError, OSError):  # pragma: no cover
+        pass
+
+
+def execute_classified(payload: Mapping) -> dict:
     """Run one job body to exactly one classified outcome dict, in-process.
 
-    The classification half of the seven-way taxonomy, shared by the
-    fork-per-attempt worker (:func:`_worker_main`) and by the service's
-    long-lived pool workers (:mod:`repro.runtime.service`) — so a job
-    reports the identical outcome dict whichever runtime executed it.
-    ``setup``, when given, runs inside the classified region (a setup
-    failure is an outcome, not an unhandled worker death).  ``timeout``
-    and ``oom`` still require *external* supervision: this function only
+    The classification half of the seven-way taxonomy, run by every pool
+    worker (:func:`_pool_worker`) — so a job reports the identical
+    outcome dict whichever door it came through.  ``timeout`` and
+    ``oom`` still require *external* supervision: this function only
     classifies what the process survives long enough to raise.
     """
     key = str(payload.get("fault_key", ""))
     try:
-        if setup is not None:
-            setup()
-            fault_point("worker:setup", key)
         fault_point("worker:compute", key)
         with current_tracer().span(
             "worker", job=str(payload.get("id", "")), pid=os.getpid()
@@ -516,24 +610,6 @@ def execute_classified(
     return outcome
 
 
-def _worker_main(payload: dict, conn) -> None:
-    """Run one job attempt and report exactly one outcome dict (or die)."""
-    key = str(payload.get("fault_key", ""))
-    outcome = execute_classified(
-        payload, setup=lambda: _worker_setup(payload)
-    )
-    tracer = current_tracer()
-    if payload.get("trace") and tracer.active and tracer.root is not None:
-        # the span tree rides the result pipe as plain JSON-able dicts,
-        # so stitching works for fork and spawn alike
-        outcome["trace"] = tracer.to_jsonable()
-    try:
-        fault_point("worker:result", key)
-        conn.send(outcome)
-    finally:
-        conn.close()
-
-
 def _rss_bytes(pid: int) -> Optional[int]:
     """Resident set of ``pid`` in bytes via ``/proc`` (None if unknown)."""
     try:
@@ -544,19 +620,291 @@ def _rss_bytes(pid: int) -> Optional[int]:
         return None
 
 
+# -- the pool: the one executor ----------------------------------------------
+
+
+@dataclass
+class _Slot:
+    """One pool slot's live worker (``None`` between incarnations)."""
+
+    process: Any = None
+    conn: Any = None
+    jobs_done: int = 0
+    crash_streak: int = 0
+    respawn_at: float = 0.0
+    respawns: int = 0
+    recycles: int = 0
+    hydrated: int = 0
+
+
+class WorkerPool:
+    """The one executor: ``slots`` long-lived forked workers.
+
+    Every attempt of every job runs here.  :meth:`Supervisor.run_batch`
+    opens a pool of ``workers`` slots for the call,
+    :meth:`Supervisor.run_job` a one-shot pool, and the service daemon
+    one pool for its whole life (with a disk cache to hydrate from).  A
+    slot's worker is forked by :meth:`start` or on first use and serves
+    jobs one at a time, so the jobs of one slot share its memo table;
+    each job's ``stats["cache"]`` is still a delta of its own.  A worker
+    that dies or is killed is replaced on the slot's next attempt, after
+    an exponential backoff counted from the crash (``backoff_base``
+    doubling per consecutive crash up to ``backoff_cap``; none by
+    default, where the job's :class:`RetryPolicy` is the only pause); a
+    healthy one is recycled (retired, replaced on next use) after
+    ``recycle_jobs`` jobs or once its resident set passes
+    ``recycle_rss_bytes``.  Each slot is driven by one thread at a time.
+    Forks are serialized, so every new worker knows — and closes — every
+    driver-side pipe end it inherits.
+    """
+
+    def __init__(
+        self,
+        slots: int,
+        *,
+        fault_plan: Optional[FaultPlan] = None,
+        cache_dir: Optional[str] = None,
+        hydrate_limit: Optional[int] = None,
+        recycle_jobs: Optional[int] = None,
+        recycle_rss_bytes: Optional[int] = None,
+        backoff_base: float = 0.0,
+        backoff_cap: float = 0.0,
+        inherited_fds: Callable[[], Sequence[int]] = tuple,
+    ) -> None:
+        self.slots = [_Slot() for _ in range(slots)]
+        self._config = {
+            "faults": fault_plan.to_dict() if fault_plan is not None else None,
+            "cache_dir": cache_dir,
+            "hydrate_limit": hydrate_limit,
+        }
+        self.recycle_jobs = recycle_jobs
+        self.recycle_rss_bytes = recycle_rss_bytes
+        self.backoff_base = backoff_base
+        self.backoff_cap = backoff_cap
+        self._inherited_fds = inherited_fds
+        self._fork_lock = threading.Lock()
+        self._mp = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        )
+
+    def start(self) -> None:
+        """Fork every slot's worker up front (their setups overlap)."""
+        for slot in range(len(self.slots)):
+            self._fork(slot)
+        for slot in range(len(self.slots)):
+            self._handshake(slot)
+
+    def close(self) -> None:
+        """Retire every worker."""
+        for slot in range(len(self.slots)):
+            self.retire(slot)
+
+    def snapshot(self) -> list[dict]:
+        """Per-slot worker pid, liveness and counters (``stats``)."""
+        return [
+            {
+                "slot": slot,
+                "pid": (handle.process.pid
+                        if handle.process is not None else None),
+                "alive": (handle.process is not None
+                          and handle.process.is_alive()),
+                "jobs_done": handle.jobs_done,
+                "respawns": handle.respawns,
+                "recycles": handle.recycles,
+                "hydrated": handle.hydrated,
+            }
+            for slot, handle in enumerate(self.slots)
+        ]
+
+    def backoff_left(self, slot: int) -> float:
+        """Seconds before ``slot`` may replace its crashed worker."""
+        return max(0.0, self.slots[slot].respawn_at - time.monotonic())
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def _fork(self, slot: int) -> None:
+        handle = self.slots[slot]
+        with self._fork_lock:
+            parent_conn, child_conn = self._mp.Pipe(duplex=True)
+            config = dict(self._config)
+            config["close_fds"] = [
+                *self._inherited_fds(),
+                parent_conn.fileno(),
+                *(other.conn.fileno() for other in self.slots
+                  if other.conn is not None),
+            ]
+            process = self._mp.Process(
+                target=_pool_worker, args=(config, child_conn), daemon=True
+            )
+            process.start()
+            child_conn.close()
+            handle.process, handle.conn = process, parent_conn
+        handle.jobs_done = 0
+
+    def _handshake(self, slot: int) -> None:
+        """Wait for a fresh worker's ready message."""
+        handle = self.slots[slot]
+        try:
+            if handle.conn.poll(10.0):
+                handle.hydrated = int(handle.conn.recv().get("hydrated", 0))
+        except (EOFError, OSError):  # died during setup; its attempt says so
+            pass
+
+    def retire(self, slot: int, *, recycle: bool = False) -> None:
+        """Stop ``slot``'s worker gracefully (no-op between incarnations)."""
+        handle = self.slots[slot]
+        if handle.process is None:
+            return
+        try:
+            handle.conn.send(None)
+        except OSError:
+            pass
+        handle.process.join(timeout=5.0)
+        if handle.process.is_alive():  # pragma: no cover - defensive
+            handle.process.kill()
+            handle.process.join(timeout=5.0)
+        with self._fork_lock:
+            handle.conn.close()
+            handle.process = handle.conn = None
+        if recycle:
+            handle.recycles += 1
+
+    def _ensure(self, slot: int) -> _Slot:
+        handle = self.slots[slot]
+        if handle.process is None or not handle.process.is_alive():
+            self.retire(slot)  # reap a dead incarnation
+            pause = self.backoff_left(slot)
+            if pause > 0:
+                time.sleep(pause)
+            if handle.crash_streak > 0:
+                handle.respawns += 1
+            self._fork(slot)
+            self._handshake(slot)
+        return handle
+
+    # -- attempts ----------------------------------------------------------
+
+    def run_attempt(
+        self,
+        slot: int,
+        spec: JobSpec,
+        limits: JobLimits,
+        attempt: int,
+        remaining: Optional[float] = None,
+    ) -> dict:
+        """One attempt of ``spec`` on ``slot``'s worker, monitored to
+        SIGKILL, classified.
+
+        ``remaining`` (seconds) is what is left of the job's end-to-end
+        deadline: the hard wall is clamped to it, and the payload's
+        ``deadline_seconds`` makes the worker install a cooperative
+        deadline of its own.
+        """
+        payload = spec.to_dict()
+        payload["fault_key"] = f"{spec.id}#{attempt}"
+        if remaining is not None:
+            payload["deadline_seconds"] = remaining
+            if limits.wall_seconds is None or limits.wall_seconds > remaining:
+                limits = replace(limits, wall_seconds=remaining)
+        payload["limits"] = limits.to_dict()
+        tracer = current_tracer()
+        if tracer.active:
+            payload["trace"] = True
+        handle = self._ensure(slot)
+        started = time.monotonic()
+        outcome: Optional[dict] = None
+        killed: Optional[str] = None
+        try:
+            handle.conn.send(payload)
+        except OSError:
+            pass  # found it dead: classified crashed below
+        else:
+            outcome, killed = self._await(handle, limits, started)
+        wall = time.monotonic() - started
+        if outcome is None and killed is None:
+            # the pipe EOF can beat the reaper: give the dead child a
+            # moment to be collected so its -signal exitcode is real
+            handle.process.join(timeout=1.0)
+        exitcode = handle.process.exitcode
+        if isinstance(outcome, dict) and "trace" in outcome:
+            # stitch the worker's span tree under this attempt's span
+            # (the ambient current span — run_attempt runs inside it)
+            tracer.graft(outcome.pop("trace"))
+        record = Supervisor._classify(
+            spec, attempt, outcome, killed, exitcode, wall, limits
+        )
+        if outcome is None or killed is not None:
+            # the incumbent is dead or condemned: make sure it is gone,
+            # and back its replacement off by the crash streak
+            if handle.process.is_alive():
+                handle.process.kill()
+            self.retire(slot)
+            handle.crash_streak += 1
+            handle.respawn_at = time.monotonic() + min(
+                self.backoff_base * 2 ** (handle.crash_streak - 1),
+                self.backoff_cap,
+            )
+        else:
+            handle.crash_streak = 0
+            handle.jobs_done += 1
+            self._maybe_recycle(slot)
+        return record
+
+    @staticmethod
+    def _await(
+        handle: _Slot, limits: JobLimits, started: float
+    ) -> tuple[Optional[dict], Optional[str]]:
+        """The hard-limit poll loop: the worker's outcome, or ``None``
+        and the status it was SIGKILLed with (``None`` if it died)."""
+        conn, process = handle.conn, handle.process
+        deadline = (
+            started + limits.wall_seconds
+            if limits.wall_seconds is not None else None
+        )
+        try:
+            while not conn.poll(_POLL_SECONDS):
+                breach = None
+                if deadline is not None and time.monotonic() >= deadline:
+                    breach = TIMEOUT
+                elif limits.rss_bytes is not None:
+                    usage = _rss_bytes(process.pid)
+                    if usage is not None and usage > limits.rss_bytes:
+                        breach = OOM
+                if breach is not None:
+                    if conn.poll(0):
+                        break  # the outcome beat the kill
+                    process.kill()
+                    return None, breach
+                if not process.is_alive():
+                    # exited: a result may still be buffered in the pipe
+                    if conn.poll(0.25):
+                        break
+                    return None, None
+            return conn.recv(), None
+        except (EOFError, OSError):
+            return None, None  # the worker died with the pipe open
+
+    def _maybe_recycle(self, slot: int) -> None:
+        handle = self.slots[slot]
+        if self.recycle_jobs is not None and (
+                handle.jobs_done >= self.recycle_jobs):
+            self.retire(slot, recycle=True)
+        elif self.recycle_rss_bytes is not None:
+            usage = _rss_bytes(handle.process.pid)
+            if usage is not None and usage > self.recycle_rss_bytes:
+                self.retire(slot, recycle=True)
+
+
 # -- the supervisor ----------------------------------------------------------
 
 
 class Supervisor:
-    """Runs jobs in isolated, hard-limited, retried worker subprocesses.
+    """Runs jobs on a worker pool: hard-limited, classified, retried.
 
     ``limits`` and ``retry`` are defaults; a :class:`JobSpec` may carry
-    its own.  ``fault_plan`` (chaos testing) is shipped to every worker.
-    ``start_method`` picks the :mod:`multiprocessing` start method —
-    ``fork`` by default where available (worker startup is milliseconds
-    and :func:`_worker_setup` re-establishes isolation), overridable via
-    the ``REPRO_MP_START`` environment variable for e.g. ``spawn``
-    debugging.
+    its own.  ``fault_plan`` (chaos testing) is armed in every worker of
+    the pools this supervisor opens.
     """
 
     def __init__(
@@ -565,62 +913,90 @@ class Supervisor:
         limits: Optional[JobLimits] = None,
         retry: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
-        start_method: Optional[str] = None,
-        poll_interval: float = 0.02,
     ) -> None:
         self.default_limits = limits if limits is not None else JobLimits()
         self.default_retry = retry if retry is not None else RetryPolicy()
         self.fault_plan = fault_plan
-        chosen = (
-            start_method
-            or os.environ.get("REPRO_MP_START")
-            or ("fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn")
-        )
-        if chosen not in multiprocessing.get_all_start_methods():
-            raise SupervisorError(f"unknown start method {chosen!r}")
-        self.start_method = chosen
-        self.poll_interval = poll_interval
 
     # -- single jobs -------------------------------------------------------
 
     def run_job(self, spec: JobSpec) -> JobResult:
-        """Run ``spec`` to a final classified outcome, retrying per policy."""
+        """Run ``spec`` to a final classified outcome, retrying per policy.
+
+        The attempts run on a one-shot pool whose worker is gone by the
+        time this returns.
+        """
+        deadline_at = _deadline_at(spec)
+        pool = WorkerPool(1, fault_plan=self.fault_plan)
+        try:
+            return self.run_on(pool, 0, spec, deadline_at=deadline_at)
+        finally:
+            pool.close()
+
+    def run_on(
+        self,
+        pool: WorkerPool,
+        slot: int,
+        spec: JobSpec,
+        *,
+        deadline_at: Optional[float] = None,
+    ) -> JobResult:
+        """The retry and degrade loop of one job on ``pool``'s ``slot``.
+
+        ``deadline_at`` (a ``time.monotonic`` instant, counted from the
+        job's admission by the caller) is its end-to-end deadline.  Once
+        it has passed no further attempt starts: the job is answered
+        ``shed``/``deadline-expired``, and ``attempts`` counts only the
+        attempts that ran (0 if none did).  Before a retry the loop
+        sleeps once, for the longer of the policy's backoff and the
+        slot's respawn backoff, so the two never add up.
+        """
         policy = spec.retry if spec.retry is not None else self.default_retry
         limits = spec.limits if spec.limits is not None else self.default_limits
         effective = spec
         history: list[dict] = []
         started = time.monotonic()
-        deadline_at = (
-            started + spec.deadline_ms / 1000.0
-            if spec.deadline_ms is not None
-            else None
-        )
         resource_failures = 0
         tracer = current_tracer()
         with tracer.span(f"job:{spec.id}", kind=spec.kind) as job_span:
             for attempt in range(1, policy.max_attempts + 1):
+                remaining = (
+                    deadline_at - time.monotonic()
+                    if deadline_at is not None else None
+                )
+                if remaining is not None and remaining <= 0:
+                    final = {
+                        "status": SHED,
+                        "detail": {
+                            "shed": "deadline-expired",
+                            "error": (
+                                f"deadline of {spec.deadline_ms}ms expired "
+                                f"before attempt {attempt} started; it was "
+                                "not executed"
+                            ),
+                        },
+                    }
+                    break
                 with tracer.span("attempt", job=spec.id,
                                  attempt=attempt) as attempt_span:
-                    outcome = self._run_attempt(
-                        effective, limits, attempt, deadline_at=deadline_at
+                    final = pool.run_attempt(
+                        slot, effective, limits, attempt, remaining
                     )
-                    attempt_span.set(status=outcome["status"])
-                history.append(outcome)
-                status = outcome["status"]
+                    attempt_span.set(status=final["status"])
+                history.append(final)
+                status = final["status"]
                 if status in RESOURCE_FAILURES:
                     resource_failures += 1
                 if (status not in policy.retry_on
                         or attempt == policy.max_attempts):
                     break
-                pause = policy.delay(attempt, spec.id)
+                pause = max(policy.delay(attempt, spec.id),
+                            pool.backoff_left(slot))
                 if pause > 0:
                     time.sleep(pause)
                 if policy.degrade and status in RESOURCE_FAILURES:
                     effective = _degraded(effective, limits, policy,
                                           resource_failures)
-            final = history[-1]
             job_span.set(status=final["status"], attempts=len(history))
         # label every cache-delta block with the job that produced it,
         # so a batch result log stays attributable line by line
@@ -639,115 +1015,6 @@ class Supervisor:
             wall_seconds=time.monotonic() - started,
             detail=final.get("detail", {}),
             history=history,
-        )
-
-    def _run_attempt(
-        self,
-        spec: JobSpec,
-        limits: JobLimits,
-        attempt: int,
-        *,
-        deadline_at: Optional[float] = None,
-    ) -> dict:
-        """One worker subprocess, monitored to SIGKILL, classified.
-
-        ``deadline_at`` (a ``time.monotonic`` instant) is the job's
-        propagated end-to-end deadline: an attempt starting with no time
-        left is answered ``shed``/``deadline-expired`` without forking,
-        and a live attempt gets its hard wall clamped to the remaining
-        time plus ``payload["deadline_seconds"]`` so the worker installs
-        a cooperative deadline of its own.
-        """
-        remaining = (
-            deadline_at - time.monotonic() if deadline_at is not None else None
-        )
-        if remaining is not None and remaining <= 0:
-            return {
-                "attempt": attempt,
-                "wall_seconds": 0.0,
-                "kind": spec.kind,
-                "status": SHED,
-                "detail": {
-                    "shed": "deadline-expired",
-                    "error": (
-                        f"deadline of {spec.deadline_ms}ms expired before "
-                        "the attempt started; nothing was executed"
-                    ),
-                },
-            }
-        payload = spec.to_dict()
-        payload["limits"] = limits.to_dict()
-        payload["fault_key"] = f"{spec.id}#{attempt}"
-        if remaining is not None:
-            payload["deadline_seconds"] = remaining
-            wall = limits.wall_seconds
-            if wall is None or wall > remaining:
-                limits = replace(limits, wall_seconds=remaining)
-        tracer = current_tracer()
-        if tracer.active:
-            payload["trace"] = True
-        if self.fault_plan is not None:
-            payload["faults"] = self.fault_plan.to_dict()
-        context = multiprocessing.get_context(self.start_method)
-        receiver, sender = context.Pipe(duplex=False)
-        process = context.Process(
-            target=_worker_main, args=(payload, sender), daemon=True
-        )
-        started = time.monotonic()
-        process.start()
-        sender.close()
-        deadline = (
-            started + limits.wall_seconds
-            if limits.wall_seconds is not None
-            else None
-        )
-        outcome: Optional[dict] = None
-        killed: Optional[str] = None
-        try:
-            while True:
-                try:
-                    if receiver.poll(self.poll_interval):
-                        outcome = receiver.recv()
-                        break
-                except (EOFError, OSError):
-                    break  # worker died with the pipe open
-                if deadline is not None and time.monotonic() >= deadline:
-                    if receiver.poll(0):
-                        outcome = receiver.recv()
-                        break
-                    killed = TIMEOUT
-                    process.kill()
-                    break
-                if limits.rss_bytes is not None and process.pid is not None:
-                    usage = _rss_bytes(process.pid)
-                    if usage is not None and usage > limits.rss_bytes:
-                        if receiver.poll(0):
-                            outcome = receiver.recv()
-                            break
-                        killed = OOM
-                        process.kill()
-                        break
-                if not process.is_alive():
-                    # exited: a result may still be buffered in the pipe
-                    try:
-                        if receiver.poll(0.25):
-                            outcome = receiver.recv()
-                    except (EOFError, OSError):
-                        pass
-                    break
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.kill()
-                process.join(timeout=5.0)
-        finally:
-            receiver.close()
-        wall = time.monotonic() - started
-        if isinstance(outcome, dict) and "trace" in outcome:
-            # stitch the worker's span tree under this attempt's span
-            # (the ambient current span — _run_attempt runs inside it)
-            tracer.graft(outcome.pop("trace"))
-        return self._classify(
-            spec, attempt, outcome, killed, process.exitcode, wall, limits
         )
 
     @staticmethod
@@ -823,9 +1090,11 @@ class Supervisor:
         results_path: Optional[str] = None,
         resume: bool = False,
     ) -> BatchReport:
-        """Fan ``specs`` across ``workers`` supervision threads.
+        """Fan ``specs`` across a pool of ``workers`` slots.
 
-        With ``results_path``, every finished job appends one JSON line
+        Each slot is driven by one supervision thread; the pool is
+        opened for this call and retired before it returns.  With
+        ``results_path``, every finished job appends one JSON line
         (flushed + fsynced) — and with ``resume=True`` jobs whose ids are
         already in that file are skipped, which is the crash-recovery
         contract: kill the batch at any point, re-run it with ``resume``,
@@ -849,66 +1118,49 @@ class Supervisor:
             if spec.id in done and done[spec.id].get("status") in STATUSES
         ))
         results: list[JobResult] = []
-        queue_lock = threading.Lock()
-        write_lock = threading.Lock()
-        handle = None
-        if results_path:
-            path = Path(results_path)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            handle = open(results_path, "a", encoding="utf-8")
-            # a SIGKILLed previous run can leave a truncated final line;
-            # terminate it so the next record starts on a line of its own
-            # (the torn line stays unparseable and its job is re-run).
-            if handle.tell() > 0:
-                with open(results_path, "rb") as probe:
-                    probe.seek(-1, os.SEEK_END)
-                    if probe.read(1) != b"\n":
-                        handle.write("\n")
-
-        def record(result: JobResult) -> None:
-            with write_lock:
-                results.append(result)
-                if handle is not None:
-                    handle.write(
-                        json.dumps(result.to_jsonable(), sort_keys=True) + "\n"
-                    )
-                    handle.flush()
-                    os.fsync(handle.fileno())
-
+        journal = _Journal(results_path) if results_path else None
+        count = min(workers, len(pending))
+        pool = WorkerPool(count, fault_plan=self.fault_plan)
         tracer = current_tracer()
 
-        def drain(batch_span) -> None:
+        def drain(batch_span, slot: int) -> None:
             # threads start with an empty contextvars context: re-install
             # the ambient tracer and nest this thread's jobs under the
             # batch span (in the driver thread both are no-op re-sets)
             with tracing(tracer):
                 tracer.adopt(batch_span)
                 while True:
-                    with queue_lock:
-                        if not pending:
-                            return
+                    try:
                         spec = pending.popleft()
-                    record(self.run_job(spec))
+                    except IndexError:
+                        return
+                    result = self.run_on(pool, slot, spec,
+                                         deadline_at=_deadline_at(spec))
+                    results.append(result)
+                    if journal is not None:
+                        journal.append(result.to_jsonable())
 
         try:
             with tracer.span("batch", total=len(specs), skipped=skipped,
                              workers=workers) as batch_span:
-                count = min(workers, len(pending))
+                pool.start()
                 if count <= 1:
-                    drain(batch_span)
+                    drain(batch_span, 0)
                 else:
                     threads = [
-                        threading.Thread(target=drain, args=(batch_span,),
-                                         name=f"supervise-{i}")
-                        for i in range(count)
+                        threading.Thread(target=drain,
+                                         args=(batch_span, slot),
+                                         name=f"supervise-{slot}")
+                        for slot in range(count)
                     ]
                     for thread in threads:
                         thread.start()
                     for thread in threads:
                         thread.join()
         finally:
-            if handle is not None:
-                handle.close()
+            pool.close()
+            if journal is not None:
+                journal.close()
         return BatchReport(
             total=len(specs),
             executed=len(results),
@@ -916,6 +1168,57 @@ class Supervisor:
             results=results,
             resumed_by_status=resumed_by_status,
         )
+
+
+def _deadline_at(spec: JobSpec) -> Optional[float]:
+    """The ``time.monotonic`` instant ``spec.deadline_ms`` runs out,
+    counted from now (its admission)."""
+    if spec.deadline_ms is None:
+        return None
+    return time.monotonic() + spec.deadline_ms / 1000.0
+
+
+class _Journal:
+    """An append-only JSONL file that survives ``kill -9`` line by line.
+
+    The one writer of both results logs (``repro batch --results`` and
+    the daemon's ``results.jsonl``) and of the daemon's queue journal.
+    :meth:`append` writes, flushes and fsyncs a record before returning.
+    Opening terminates a torn final line — what a SIGKILL mid-append
+    leaves behind — so the next record starts on a line of its own (the
+    torn line stays unparseable, and readers skip it).  After
+    :meth:`close` an append still lands, through a one-shot handle: an
+    acknowledged record is a durability promise.
+    """
+
+    def __init__(self, path) -> None:
+        self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._lock = threading.Lock()
+        self._handle = open(self.path, "a", encoding="utf-8")
+        if self._handle.tell() > 0:
+            with open(self.path, "rb") as probe:
+                probe.seek(-1, os.SEEK_END)
+                if probe.read(1) != b"\n":
+                    self._handle.write("\n")
+
+    def append(self, record: Mapping) -> None:
+        line = json.dumps(record, sort_keys=True) + "\n"
+        with self._lock:
+            handle = self._handle or open(self.path, "a", encoding="utf-8")
+            try:
+                handle.write(line)
+                handle.flush()
+                os.fsync(handle.fileno())
+            finally:
+                if handle is not self._handle:
+                    handle.close()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
 
 
 # -- manifest / checkpoint I/O -----------------------------------------------

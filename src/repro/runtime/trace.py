@@ -38,9 +38,9 @@ Serialization is schema-versioned like the bench reports:
   the ``--trace FILE`` / ``REPRO_TRACE=<path>`` output.
 * :func:`render_tree` — the human-readable stderr span tree.
 
-Survival across supervisor forks: workers reset the ambient tracer in
-``_worker_setup`` (fork hygiene, like the governor and the memo table)
-and install a fresh one when the driver asked for tracing; the finished
+Survival across supervisor forks: pool workers reset the ambient tracer
+when they start (fork hygiene, like the governor and the memo table)
+and install a fresh one for each job the driver traces; the finished
 tree rides the result pipe as plain JSON, so stitching works for both
 ``fork`` and ``spawn`` start methods.
 """

@@ -39,6 +39,7 @@ from repro.runtime.supervisor import (
     RetryPolicy,
     Supervisor,
     completed_job_ids,
+    completed_results,
 )
 
 import repro
@@ -97,6 +98,25 @@ def fifty_jobs() -> list[JobSpec]:
 def results_by_id(path) -> dict:
     lines = [json.loads(line) for line in open(path) if line.strip()]
     return {line["id"]: line for line in lines}
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie (its parent is gone)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def survivors(pids, timeout: float = 5.0) -> set:
+    """The processes among ``pids`` still running after ``timeout``."""
+    deadline = time.monotonic() + timeout
+    alive = set(pids)
+    while alive and time.monotonic() < deadline:
+        alive = {pid for pid in alive if _running(pid)}
+        time.sleep(0.05)
+    return {pid for pid in alive if _running(pid)}
 
 
 def test_chaos_batch_reports_every_job_exactly_once(tmp_path):
@@ -241,3 +261,57 @@ def test_pathological_job_is_killed_while_batch_survives(
     assert report.exit_code() == EXIT_CRASHED
     # the log carries all five outcomes despite the kill
     assert set(results_by_id(results)) == {spec.id for spec in specs}
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                    reason="needs /proc to tell live processes from zombies")
+def test_sigkilled_batch_driver_leaves_no_worker_behind(tmp_path):
+    manifest = tmp_path / "manifest.jsonl"
+    results = tmp_path / "results.jsonl"
+    plan_path = tmp_path / "faults.json"
+    specs = [
+        JobSpec(id=f"busy-{i:02d}", kind="validate",
+                params={"dtd_text": TINY_DTD,
+                        "document_text": "<doc><item/></doc>"})
+        for i in range(20)
+    ]
+    manifest.write_text(
+        "".join(json.dumps(spec.to_dict()) + "\n" for spec in specs)
+    )
+    plan = FaultPlan(
+        points={"worker:compute": FaultSpec(action="delay", seconds=0.5)}
+    )
+    plan_path.write_text(json.dumps(plan.to_dict()))
+    process = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "batch", str(manifest),
+            "--results", str(results), "--workers", "2",
+            "--faults", str(plan_path),
+        ],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        env={**os.environ,
+             "PYTHONPATH": os.pathsep.join(
+                 filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])
+             )},
+    )
+    try:
+        deadline = time.monotonic() + 30.0
+        pids: set = set()
+        while len(pids) < 2 and time.monotonic() < deadline:
+            if process.poll() is not None:
+                pytest.fail("batch finished before it could be killed")
+            pids = {
+                line["detail"]["worker"]["pid"]
+                for line in completed_results(str(results)).values()
+            }
+            time.sleep(0.02)
+        assert len(pids) == 2, "both pool workers should have reported"
+        process.send_signal(signal.SIGKILL)
+        process.wait(timeout=10)
+    finally:
+        if process.poll() is None:  # pragma: no cover - cleanup
+            process.kill()
+            process.wait(timeout=10)
+    # both workers were mid-job: they must not finish the batch orphaned
+    assert survivors(pids) == set()

@@ -34,6 +34,8 @@ from repro.runtime.supervisor import (
     TYPE_ERROR,
     JobLimits,
     JobSpec,
+    RetryPolicy,
+    Supervisor,
     completed_results,
 )
 
@@ -253,6 +255,87 @@ def test_breaker_fast_fails_a_repeatedly_lethal_input(make_daemon):
     # fast-fails are final: journaled like any other outcome
     assert completed_results(str(daemon.results_path))[
         "lethal-3"]["status"] == CRASHED
+
+
+# -- one executor, one retry loop --------------------------------------------
+
+#: ``worker:result`` crashes about half the attempts under this plan.
+FLAKY = FaultPlan(seed=5, points={
+    "worker:result": FaultSpec(action="crash", rate=0.5),
+})
+
+
+def flaky_job(retry: RetryPolicy) -> JobSpec:
+    """A validate job whose first attempt crashes and whose second
+    does not, under :data:`FLAKY`."""
+    job_id = next(
+        f"flaky-{i}" for i in range(200)
+        if FLAKY.decide("worker:result", f"flaky-{i}#1")
+        and not FLAKY.decide("worker:result", f"flaky-{i}#2")
+    )
+    return JobSpec(id=job_id, kind="validate",
+                   params=validate_job(job_id).params, retry=retry)
+
+
+def test_same_job_same_outcome_through_serve_and_batch(make_daemon):
+    spec = flaky_job(RetryPolicy(max_attempts=3))
+    daemon = make_daemon(workers=1, fault_plan=FLAKY)
+    served = ServiceClient(daemon.socket_path).submit(spec)["result"]
+    batched = Supervisor(fault_plan=FLAKY).run_batch([spec]).results[0]
+    for result in (served, batched.to_jsonable()):
+        assert result["status"] == OK
+        assert result["attempts"] == 2
+        assert [entry["status"] for entry in result["history"]] == [
+            CRASHED, OK]
+
+    # the jobs of one batch slot all run on that slot's one worker
+    report = Supervisor().run_batch(
+        [validate_job(f"steady-{i}") for i in range(8)], workers=1
+    )
+    assert report.by_status == {OK: 8}
+    assert len({result.detail["worker"]["pid"]
+                for result in report.results}) == 1
+
+
+def test_retry_delay_and_respawn_backoff_overlap(make_daemon):
+    # both waits are 1s: the retry must pause once, not for 1s + 1s
+    spec = flaky_job(RetryPolicy(max_attempts=2, base_delay=1.0, jitter=0.0))
+    daemon = make_daemon(workers=1, fault_plan=FLAKY, backoff_base=1.0,
+                         backoff_cap=1.0)
+    result = daemon.submit(spec)["result"]
+    assert result["status"] == OK and result["attempts"] == 2
+    assert 1.0 <= result["wall_seconds"] < 1.8
+
+
+def _address_space_limit(pid: int) -> str:
+    with open(f"/proc/{pid}/limits", encoding="ascii") as handle:
+        line = next(row for row in handle if row.startswith(
+            "Max address space"))
+    return line.split()[3]  # the soft limit
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/limits"),
+                    reason="needs /proc/<pid>/limits")
+def test_pool_worker_arms_its_backstop_per_job(make_daemon):
+    plan = FaultPlan(points={
+        "pool:worker-wedge": FaultSpec(action="delay", seconds=0.6),
+    })
+    daemon = make_daemon(workers=1, fault_plan=plan)
+    (worker,) = daemon.stats()["workers"]
+    unarmed = _address_space_limit(worker["pid"])
+    rss = 1024 * 1024 * 1024  # far above any worker's real footprint
+    for limits, expected in ((JobLimits(rss_bytes=rss),
+                              str(rss * 4 + 256 * 1024 * 1024)),
+                             (None, unarmed)):
+        spec = JobSpec(id=f"backstop-{expected}", kind="validate",
+                       params=validate_job("x").params, limits=limits)
+        assert daemon.submit(spec, wait=False)["ok"]
+        time.sleep(0.3)  # the job is wedged with its limit armed
+        assert _address_space_limit(worker["pid"]) == expected
+        deadline = time.monotonic() + 20.0
+        while spec.id not in completed_results(str(daemon.results_path)):
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
 
 
 # -- drain semantics ---------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.runtime.service import ServiceClient
 from repro.runtime.supervisor import CRASHED, OK, JobSpec, completed_results
 
 import repro
+from test_batch_chaos import survivors
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -147,6 +148,34 @@ def test_kill9_with_jobs_in_flight_replays_exactly_once(tmp_path, reaper):
 
     assert client.shutdown()["ok"]
     assert second.wait(timeout=30) == 0
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                    reason="needs /proc to tell live processes from zombies")
+def test_sigkilled_daemon_leaves_no_worker_behind(tmp_path, reaper):
+    # one worker idles, the other is wedged mid-job: neither may outlive
+    # the daemon that forked it
+    plan = FaultPlan(seed=11, points={
+        "pool:worker-wedge": FaultSpec(action="delay", seconds=60.0,
+                                       rate=0.5),
+    })
+    wedged = next(f"job-{i}" for i in range(100)
+                  if plan.decide("pool:worker-wedge", f"job-{i}#1"))
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan.to_dict()))
+    state = tmp_path / "state"
+    # a repeated --workers overrides start_serve's (argparse: last wins)
+    daemon = start_serve(state, "--workers", "2", "--faults", str(plan_path))
+    reaper(daemon)
+    client = wait_for_daemon(state / "service.sock")
+    pids = {worker["pid"] for worker in client.stats()["stats"]["workers"]}
+    assert len(pids) == 2
+    assert client.submit(validate_job(wedged), wait=False)["ok"]
+    time.sleep(0.3)  # let a worker pick up the wedged job
+
+    os.kill(daemon.pid, signal.SIGKILL)
+    daemon.wait(timeout=10)
+    assert survivors(pids) == set()
 
 
 def test_persistent_cache_stays_warm_across_kill9(tmp_path, reaper):

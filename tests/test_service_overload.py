@@ -143,7 +143,7 @@ def test_predicted_overrun_sheds_without_touching_a_worker(make_daemon):
     spec = validate_job("teacher")
     assert daemon.submit(spec)["result"]["status"] == OK
     daemon._costs.record(affinity_key(spec.to_dict()), 0.1)
-    jobs_before = [w.jobs_done for w in daemon._workers]
+    jobs_before = [w["jobs_done"] for w in daemon.stats()["workers"]]
     response = daemon.submit(JobSpec(
         id="hopeless", kind="validate",
         params={"dtd_text": TINY_DTD, "document_text": "<doc><item/></doc>"},
@@ -153,7 +153,7 @@ def test_predicted_overrun_sheds_without_touching_a_worker(make_daemon):
     assert response["result"]["status"] == SHED
     assert response["result"]["attempts"] == 0
     # no worker ran anything for it
-    assert [w.jobs_done for w in daemon._workers] == jobs_before
+    assert [w["jobs_done"] for w in daemon.stats()["workers"]] == jobs_before
     assert daemon.stats()["shed"] == {"predicted-overrun": 1}
 
 
