@@ -26,6 +26,7 @@ any experiment fails, so CI can gate on regressions.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import subprocess
@@ -505,12 +506,13 @@ def run_routing_baseline() -> dict:
     """The fast routes against the exact pipeline on the route-eligible
     example machines — the ``routing`` section.
 
-    Every applicable method (``exact`` always; ``fast``/``lazy`` when
-    the classifier admits the machine) runs cold (cache cleared first,
-    best of two) on each case.  Verdict agreement across routes is a
-    hard gate — the sweep fails on any disagreement — and the committed
-    per-route walls let a revision diff show when a fast route stops
-    beating the pipeline it exists to avoid.
+    Every applicable route (``exact`` always; ``fast`` through
+    ``typecheck_fast`` when the classifier picks ``fast-td``, ``lazy``
+    through ``typecheck_lazy`` for every one-pebble machine) runs cold
+    (cache cleared first, best of two) on each case.  Verdict agreement
+    across routes is a hard gate — the sweep fails on any disagreement
+    — and the committed per-route walls let a revision diff show when a
+    fast route stops beating the pipeline it exists to avoid.
     """
     from repro.automata.bottom_up import BottomUpTA
     from repro.pebble.builders import (
@@ -519,7 +521,12 @@ def run_routing_baseline() -> dict:
         rotation_transducer,
     )
     from repro.trees.alphabet import RankedAlphabet
-    from repro.typecheck import classify, typecheck
+    from repro.typecheck import (
+        classify,
+        typecheck,
+        typecheck_fast,
+        typecheck_lazy,
+    )
 
     def universal(alphabet) -> BottomUpTA:
         return BottomUpTA(
@@ -557,20 +564,18 @@ def run_routing_baseline() -> dict:
     try:
         for name, machine, tau1, tau2 in cases:
             decision = classify(machine)
-            methods = ["exact"]
-            if decision.fast_eligible:
-                methods.append("fast")
-            if decision.lazy_eligible:
-                methods.append("lazy")
+            routes = {"exact": functools.partial(typecheck, method="exact")}
+            if decision.route == "fast-td":
+                routes["fast"] = typecheck_fast
+            if machine.k == 1:
+                routes["lazy"] = typecheck_lazy
             runs = {}
-            for method in methods:
+            for method, check in routes.items():
                 walls = []
                 for _ in range(2):
                     clear_cache()
                     start = time.perf_counter()
-                    result = typecheck(
-                        machine, tau1, tau2, method=method
-                    )
+                    result = check(machine, tau1, tau2)
                     walls.append(time.perf_counter() - start)
                 runs[method] = {
                     "ok": result.ok,

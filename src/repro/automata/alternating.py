@@ -22,6 +22,11 @@ bottom-up, breadth-first over *pairs* ``(lazy state, explicit state)``,
 carrying a representative tree per pair.  It returns the first tree
 accepted by both sides, or ``None`` when the product language is empty
 — without ever enumerating the unreachable part of either automaton.
+
+:func:`materialize` is the eager counterpart: every state reachable
+over an alphabet, as explicit rule tables.  The Theorem 4.7 summary
+construction is this applied to the walking summary, so the eager and
+the lazy route drive one automaton.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from typing import Callable, Hashable, Optional
 
 from repro.automata.bottom_up import BottomUpTA
 from repro.runtime.governor import current_governor
+from repro.trees.alphabet import RankedAlphabet
 from repro.trees.ranked import BTree
 
 #: A lazy automaton state — anything hashable (the routing layer uses
@@ -46,12 +52,11 @@ class LazyTA:
     ``leaf_state(a)`` is the state reached on the leaf ``a``;
     ``step(a, left, right)`` the state reached at an ``a``-node whose
     children reached ``left`` and ``right``; ``is_accepting(s)`` the
-    acceptance predicate.  All three must be pure: the search memoizes
-    nothing on their behalf beyond pair dedup, so repeated calls with
-    the same arguments must agree.  Symbols outside the machine's
-    alphabet must still return *some* state (typically a rejecting
-    sink) — the search drives symbols from the paired explicit
-    automaton's rules, not from this one's alphabet.
+    acceptance predicate.  All three must be pure: the functions below
+    evaluate each distinct transition once and reuse its state.
+    Symbols outside the machine's alphabet must still return *some*
+    state (typically a rejecting sink) — the search drives symbols from
+    the paired explicit automaton's rules, not from this one's alphabet.
     """
 
     leaf_state: Callable[[str], LazyState]
@@ -71,8 +76,8 @@ def lazy_product_witness(
     lazy side's ``step`` is only invoked for symbol/child combinations
     the explicit side's rules license, and the search returns as soon
     as an accepting pair appears.  When ``stats`` is given it is filled
-    in place with ``pairs`` (pairs discovered) and ``steps`` (lazy
-    transitions evaluated).
+    in place with ``pairs`` (pairs discovered), ``steps`` (lazy
+    transitions taken) and ``transitions`` (distinct ones evaluated).
 
     The ambient governor is charged one state per pair and one step per
     transition evaluated, so budgets and deadlines apply.
@@ -82,7 +87,16 @@ def lazy_product_witness(
     pairs: dict[tuple[LazyState, Hashable], BTree] = {}
     by_p: dict[Hashable, list[tuple[LazyState, BTree]]] = {}
     queue: deque[tuple[LazyState, Hashable]] = deque()
+    transitions: dict[tuple, LazyState] = {}
     steps = 0
+    leaves = 0
+
+    def step(symbol: str, left: LazyState, right: LazyState) -> LazyState:
+        key = (symbol, left, right)
+        state = transitions.get(key)
+        if state is None:
+            state = transitions[key] = lazy.step(symbol, left, right)
+        return state
 
     def offer(state: LazyState, p: Hashable, tree: BTree) -> Optional[BTree]:
         key = (state, p)
@@ -100,6 +114,7 @@ def lazy_product_witness(
         if stats is not None:
             stats["pairs"] = len(pairs)
             stats["steps"] = steps
+            stats["transitions"] = leaves + len(transitions)
 
     # the explicit side's rules drive the exploration: symbols it has no
     # rules for cannot occur in any tree it accepts.
@@ -109,6 +124,7 @@ def lazy_product_witness(
             continue
         governor.tick()
         steps += 1
+        leaves += 1
         state = lazy.leaf_state(symbol)
         for p in sorted(targets, key=repr):
             hit = offer(state, p, BTree(symbol))
@@ -132,7 +148,7 @@ def lazy_product_witness(
             for s2, tree2 in list(by_p.get(p2, ())):
                 governor.tick()
                 steps += 1
-                state = lazy.step(symbol, s1, s2)
+                state = step(symbol, s1, s2)
                 for p in sorted(targets, key=repr):
                     hit = offer(state, p, BTree(symbol, tree1, tree2))
                     if hit is not None:
@@ -143,7 +159,7 @@ def lazy_product_witness(
             for s0, tree0 in list(by_p.get(p0, ())):
                 governor.tick()
                 steps += 1
-                state = lazy.step(symbol, s0, s1)
+                state = step(symbol, s0, s1)
                 for p in sorted(targets, key=repr):
                     hit = offer(state, p, BTree(symbol, tree0, tree1))
                     if hit is not None:
@@ -151,3 +167,55 @@ def lazy_product_witness(
                         return hit
     report()
     return None
+
+
+def materialize(lazy: LazyTA, alphabet: RankedAlphabet) -> BottomUpTA:
+    """The part of ``lazy`` reachable over ``alphabet``, as an explicit
+    deterministic automaton on states ``0 .. n-1``.
+
+    States are numbered in discovery order: the leaf states in symbol
+    order, then breadth-first, each newly found state against every
+    state found before it (both ways round) under every internal symbol
+    in order.  Each transition is evaluated once.
+    """
+    ids: dict[LazyState, int] = {}
+    states: list[LazyState] = []
+    queue: deque[int] = deque()
+
+    def intern(state: LazyState) -> int:
+        state_id = ids.get(state)
+        if state_id is None:
+            state_id = ids[state] = len(states)
+            states.append(state)
+            queue.append(state_id)
+        return state_id
+
+    leaf_rules = {
+        symbol: {intern(lazy.leaf_state(symbol))}
+        for symbol in sorted(alphabet.leaves)
+    }
+    internals = sorted(alphabet.internals)
+    step = lazy.step
+    rules: dict[tuple[str, int, int], set[int]] = {}
+    processed: list[int] = []
+    while queue:
+        current = queue.popleft()
+        processed.append(current)
+        for symbol in internals:
+            for other in list(processed):
+                for left, right in ((current, other), (other, current)):
+                    key = (symbol, left, right)
+                    if key not in rules:
+                        rules[key] = {intern(
+                            step(symbol, states[left], states[right])
+                        )}
+    return BottomUpTA(
+        alphabet=alphabet,
+        states=range(len(states)),
+        leaf_rules=leaf_rules,
+        rules=rules,
+        accepting=[
+            state_id for state_id, state in enumerate(states)
+            if lazy.is_accepting(state)
+        ],
+    )

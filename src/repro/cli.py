@@ -4,7 +4,7 @@ Usage::
 
     python -m repro validate  --dtd schema.dtd document.xml
     python -m repro typecheck --input-dtd in.dtd --output-dtd out.dtd \
-                              stylesheet.xsl [--method auto|exact|bounded|fast|lazy]
+                              stylesheet.xsl [--method auto|exact|bounded]
                               [--timeout S] [--max-steps N]
                               [--max-states N] [--no-fallback]
                               [--no-cache] [--cache-stats]
@@ -109,7 +109,7 @@ from repro.runtime import (
 )
 from repro.trees import decode
 from repro.typecheck import typecheck
-from repro.typecheck.engine import DEGRADED_SUFFIX, EXACT_METHODS
+from repro.typecheck.engine import DEGRADED_SUFFIX, EXACT_METHODS, METHODS
 from repro.xmlio import DTD, parse_dtd, parse_dtd_xml, parse_xml, to_xml
 
 #: ``--trace`` with no FILE operand (tree on stderr, no JSONL).
@@ -584,9 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--input-dtd", required=True)
     check.add_argument("--output-dtd", required=True)
-    check.add_argument("--method",
-                       choices=["auto", "exact", "bounded", "fast", "lazy"],
-                       default="auto",
+    check.add_argument("--method", choices=METHODS, default="auto",
                        help="decision procedure: auto routes to the "
                             "cheapest exact method (docs/algorithms.md)")
     check.add_argument("--max-inputs", type=int, default=50,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.automata.alternating import LazyTA, materialize
 from repro.automata.bitset import bit_indices
 from repro.automata.bottom_up import BottomUpTA
 from repro.errors import PebbleMachineError
@@ -362,13 +363,16 @@ def _down_view(relation: Relation, table: _StateTable) -> tuple[dict, dict]:
     return grouped
 
 
-def walking_automaton_to_ta(
+def walking_summary(
     automaton: PebbleAutomaton, filter_entries: bool = True
-) -> BottomUpTA:
-    """The regular language of an alternating tree-walking automaton.
+) -> LazyTA:
+    """The summary construction as an implicit deterministic automaton.
 
-    Deterministic bottom-up automaton whose states are the reachable
-    summary relations; acceptance is ``(q0, none, ∅)`` at the root.
+    Its states are the summary relations: ``leaf_state(a)`` is the
+    relation at an ``a``-leaf, ``step(a, left, right)`` the relation at
+    an ``a``-node whose children have the relations ``left`` and
+    ``right``, and a relation accepts iff it holds ``(q0, none, ∅)``.
+    A symbol without rules yields the empty relation.
 
     ``filter_entries=False`` disables the entry-state projection of the
     relations (an ablation knob: the projection collapses many summary
@@ -377,96 +381,80 @@ def walking_automaton_to_ta(
     """
     if not is_walking(automaton):
         raise PebbleMachineError(
-            "walking_automaton_to_ta needs a 1-pebble automaton without "
+            "the walking summary needs a 1-pebble automaton without "
             "place/pick"
         )
-    alphabet = automaton.alphabet
     table = _StateTable(automaton)
     prepared = _prepare_rules(automaton, table)
     entry_mask = _entry_mask(automaton, table) if filter_entries else None
-    # relations are interned to dense ids; views[rid] caches the per-side
-    # groupings of relation rid so each is computed once, not per product.
-    relation_ids: dict[Relation, int] = {}
-    views: list[tuple[dict, dict]] = []
-    leaf_rules: dict[str, set[int]] = {}
-    rules: dict[tuple[str, int, int], set[int]] = {}
-    queue: deque[int] = deque()
 
     # The fixpoint at (symbol, left, right) only reads the children's exit
-    # options for that symbol's down-move targets, so product cells whose
-    # child views agree on that projection yield the same relation.  keys
-    # caches the per-rid per-symbol projections, results the fixpoints.
-    internals = sorted(alphabet.internals)
-    down_states: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for symbol in internals:
-        ops = prepared.get(symbol)
-        down = ops.down if ops is not None else ()
-        down_states[symbol] = (
-            tuple(sorted({c for side, _, c in down if side == 0})),
-            tuple(sorted({c for side, _, c in down if side == 1})),
+    # options for that symbol's down-move targets, so cells whose child
+    # views agree on that projection yield the same relation.  shapes
+    # caches each relation's per-side grouping and its per-symbol
+    # projections, results the fixpoints.
+    down_states = {
+        symbol: (
+            tuple(sorted({c for side, _, c in ops.down if side == 0})),
+            tuple(sorted({c for side, _, c in ops.down if side == 1})),
         )
-    keys: list[dict[str, tuple[tuple, tuple]]] = []
+        for symbol, ops in prepared.items()
+    }
+    shapes: dict[Relation, tuple[tuple[dict, dict], dict]] = {}
     results: dict[tuple, Relation] = {}
 
-    def intern(relation: Relation) -> int:
-        rid = relation_ids.get(relation)
-        if rid is None:
-            rid = relation_ids[relation] = len(views)
-            view = _down_view(relation, table)
-            views.append(view)
-            keys.append({
-                symbol: (
-                    tuple(
-                        (q, tuple(sorted(view[0].get(q, ()))))
-                        for q in wanted[0]
-                    ),
-                    tuple(
-                        (q, tuple(sorted(view[1].get(q, ()))))
-                        for q in wanted[1]
-                    ),
-                )
-                for symbol, wanted in down_states.items()
-            })
-            queue.append(rid)
-        return rid
+    def shape(relation: Relation) -> tuple[tuple[dict, dict], dict]:
+        shapes[relation] = found = (_down_view(relation, table), {})
+        return found
 
-    for symbol in sorted(alphabet.leaves):
-        relation = _node_relation(prepared, table, symbol, None, entry_mask)
-        leaf_rules[symbol] = {intern(relation)}
+    def project(view: tuple[dict, dict], keys: dict, symbol: str) -> tuple:
+        keys[symbol] = key = tuple(
+            tuple(
+                (q, tuple(sorted(view[side].get(q, ()))))
+                for q in down_states[symbol][side]
+            )
+            for side in (0, 1)
+        )
+        return key
 
-    processed: list[int] = []
-    while queue:
-        current = queue.popleft()
-        processed.append(current)
-        for symbol in internals:
-            for other in list(processed):
-                for left, right in ((current, other), (other, current)):
-                    key = (symbol, left, right)
-                    if key in rules:
-                        continue
-                    shared = (
-                        symbol, keys[left][symbol][0], keys[right][symbol][1]
-                    )
-                    relation = results.get(shared)
-                    if relation is None:
-                        relation = results[shared] = _node_relation(
-                            prepared,
-                            table,
-                            symbol,
-                            (views[left][0], views[right][1]),
-                            entry_mask,
-                        )
-                    rules[key] = {intern(relation)}
+    def leaf_state(symbol: str) -> Relation:
+        return _node_relation(prepared, table, symbol, None, entry_mask)
 
-    # acceptance: the packed pair (q0, none, no exits) at the root
+    def step(symbol: str, left: Relation, right: Relation) -> Relation:
+        if symbol not in down_states:
+            return frozenset()
+        lview, lkeys = shapes.get(left) or shape(left)
+        rview, rkeys = shapes.get(right) or shape(right)
+        shared = (
+            symbol,
+            (lkeys.get(symbol) or project(lview, lkeys, symbol))[0],
+            (rkeys.get(symbol) or project(rview, rkeys, symbol))[1],
+        )
+        relation = results.get(shared)
+        if relation is None:
+            relation = results[shared] = _node_relation(
+                prepared, table, symbol, (lview[0], rview[1]), entry_mask
+            )
+        return relation
+
     root_pair = table.pack(table.index[automaton.initial], NONE, 0)
-    accepting = [
-        rid for relation, rid in relation_ids.items() if root_pair in relation
-    ]
-    return BottomUpTA(
-        alphabet=alphabet,
-        states=range(len(views)),
-        leaf_rules=leaf_rules,
-        rules=rules,
-        accepting=accepting,
+    return LazyTA(
+        leaf_state=leaf_state,
+        step=step,
+        is_accepting=lambda relation: root_pair in relation,
+    )
+
+
+def walking_automaton_to_ta(
+    automaton: PebbleAutomaton, filter_entries: bool = True
+) -> BottomUpTA:
+    """The regular language of an alternating tree-walking automaton.
+
+    Deterministic bottom-up automaton whose states are the summary
+    relations reachable from the leaves (:func:`walking_summary`,
+    materialized); acceptance is ``(q0, none, ∅)`` at the root.
+    ``filter_entries`` is passed on to :func:`walking_summary`.
+    """
+    return materialize(
+        walking_summary(automaton, filter_entries), automaton.alphabet
     ).renamed()

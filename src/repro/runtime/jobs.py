@@ -11,10 +11,9 @@ returning a JSON-able outcome dict.
 Job parameter schema (the ``params`` of a manifest entry)::
 
     typecheck: stylesheet|stylesheet_text, input_dtd|input_dtd_text,
-               output_dtd|output_dtd_text, method (auto|exact|bounded|
-               fast|lazy; defaults to exact for wire compatibility),
-               max_inputs, timeout, max_steps, max_states, fallback,
-               audit
+               output_dtd|output_dtd_text, method (auto|exact|bounded;
+               defaults to exact for wire compatibility), max_inputs,
+               timeout, max_steps, max_states, fallback, audit
     run:       stylesheet|stylesheet_text, document|document_text,
                timeout, max_steps
     validate:  dtd|dtd_text, document|document_text

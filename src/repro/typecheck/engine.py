@@ -40,8 +40,9 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, Optional, Union
 
 from repro.automata.bottom_up import BottomUpTA
 from repro.automata.convert import bu_to_td
@@ -52,7 +53,7 @@ from repro.pebble.output_automaton import output_language
 from repro.pebble.product import transducer_times_automaton
 from repro.pebble.to_regular import pebble_automaton_to_ta
 from repro.pebble.transducer import PebbleTransducer
-from repro.runtime.cache import cache_stats
+from repro.runtime.cache import cache_stats, tracked_keys
 from repro.runtime.governor import (
     ResourceGovernor,
     current_governor,
@@ -76,6 +77,9 @@ DEGRADED_SUFFIX = "-exhausted→bounded"
 #: ``method`` string of a degraded ``method="exact"`` run (the common
 #: case; kept as a constant for backward compatibility).
 DEGRADED_METHOD = "exact" + DEGRADED_SUFFIX
+
+#: ``method`` values :func:`typecheck` accepts.
+METHODS = ("auto", "exact", "bounded")
 
 #: ``method`` values whose verdicts are exact proofs / genuine
 #: counterexamples (audit certifies these; the bounded falsifier and
@@ -257,10 +261,9 @@ def typecheck(
       The route actually taken is the result's ``method`` and its
       rationale lands in ``stats["routing"]``.
     * ``"exact"`` — the Theorem 4.4 decision procedure, unconditionally
-      (no classification).
-    * ``"fast"`` / ``"lazy"`` — force the corresponding fast route;
-      raises :class:`~repro.errors.TypecheckError` when the transducer
-      is not eligible.
+      (no classification).  To force one of the other routes, call
+      :func:`~repro.typecheck.routing.typecheck_fast` or
+      :func:`~repro.typecheck.routing.typecheck_lazy` directly.
     * ``"bounded"`` — enumerate up to ``max_inputs`` instances of the
       input type and check each (a sound falsifier, not a proof).
 
@@ -317,25 +320,20 @@ def typecheck(
 
         audit_mode = resolve_audit_mode(audit)
     with tracer.span("typecheck", method=method) as span:
-        if audit_mode == "off":
+        # an audit that refutes the verdict quarantines the memo keys
+        # the run depended on, so it has to collect them
+        with (
+            nullcontext() if audit_mode == "off" else tracked_keys()
+        ) as touched:
             result = _typecheck_dispatch(
                 transducer, input_type, output_type, method, max_inputs,
                 max_depth,
                 timeout=timeout, max_steps=max_steps, max_states=max_states,
                 fallback=fallback, governor=governor,
             )
-        else:
+        if audit_mode != "off":
             from repro.audit import FAILED, audit_result
-            from repro.runtime.cache import tracked_keys
 
-            with tracked_keys() as touched:
-                result = _typecheck_dispatch(
-                    transducer, input_type, output_type, method,
-                    max_inputs, max_depth,
-                    timeout=timeout, max_steps=max_steps,
-                    max_states=max_states,
-                    fallback=fallback, governor=governor,
-                )
             with tracer.span("audit", mode=audit_mode):
                 report = audit_result(
                     transducer, input_type, output_type, result,
@@ -373,6 +371,19 @@ def typecheck(
     return result
 
 
+@contextmanager
+def _governing(
+    governor: Optional[ResourceGovernor], phase: str
+) -> Iterator[None]:
+    """Install ``governor`` for the block, in ``phase``; with ``None``
+    the ambient governor stays in effect."""
+    if governor is None:
+        yield
+        return
+    with governed(governor), governor.phase(phase):
+        yield
+
+
 def _typecheck_dispatch(
     transducer: PebbleTransducer,
     input_type: TypeLike,
@@ -387,109 +398,113 @@ def _typecheck_dispatch(
     fallback: bool,
     governor: Optional[ResourceGovernor],
 ) -> TypecheckResult:
-    if method not in ("auto", "exact", "bounded", "fast", "lazy"):
+    if method not in METHODS:
         raise TypecheckError(f"unknown method {method!r}")
+    from repro.typecheck import routing
+
+    tracer = current_tracer()
+    # a governor is installed, and its exhaustion degraded, only when
+    # this call built or was given one: an outer governor's exhaustion
+    # is its owner's to handle
     gov = governor if governor is not None else make_governor(
         timeout, max_steps, max_states
     )
-    tracer = current_tracer()
-    if method == "bounded":
-        if gov is None:
-            with tracer.span("bounded"):
-                return _typecheck_bounded(
-                    transducer, input_type, output_type, max_inputs, max_depth
-                )
-        with governed(gov), gov.phase("bounded"), tracer.span("bounded"):
-            return _typecheck_bounded(
-                transducer, input_type, output_type, max_inputs, max_depth
-            )
 
-    # resolve the exact-class route.  method="exact" bypasses the
-    # classifier entirely — it is the pre-routing code path, byte for
-    # byte (no extra spans, no routing stats).
+    def bounded() -> TypecheckResult:
+        return _typecheck_bounded(
+            transducer, input_type, output_type, max_inputs, max_depth
+        )
+
+    # resolve the route.  method="exact" bypasses the classifier
+    # entirely — it is the pre-routing code path, byte for byte (no
+    # extra spans, no routing stats).
     decision = None
-    if method == "exact":
-        route = "exact"
-    else:
-        from repro.typecheck import routing
-
+    route = method
+    if method == "auto":
         with tracer.span("route:classify"):
             decision = routing.classify(transducer)
-        if method == "auto":
-            route = decision.route
-        elif method == "fast":
-            if not decision.fast_eligible:
-                raise TypecheckError(
-                    "method='fast' forced, but the transducer is outside "
-                    "the fast top-down fragment: "
-                    + "; ".join(decision.reasons)
-                )
-            route = routing.FAST_TD
-        else:  # method == "lazy"
-            if not decision.lazy_eligible:
-                raise TypecheckError(
-                    "method='lazy' forced, but lazy backward inference "
-                    "needs a single head; this transducer uses "
-                    f"{transducer.k} pebbles"
-                )
-            route = routing.LAZY_BACKWARD
-
-    if route == "exact":
-        runner, span_name = _typecheck_exact, "exact"
-    elif route == "fast-td":
-        from repro.typecheck import routing
-
-        runner, span_name = routing.typecheck_fast, "route:fast-td"
+        route = decision.route
+    if route == "bounded":
+        span_name, run = "bounded", bounded
     else:
-        from repro.typecheck import routing
+        runner, span_name = {
+            routing.EXACT: (_typecheck_exact, "exact"),
+            routing.FAST_TD: (routing.typecheck_fast, "route:fast-td"),
+            routing.LAZY_BACKWARD: (
+                routing.typecheck_lazy, "route:lazy-backward"
+            ),
+        }[route]
 
-        runner, span_name = routing.typecheck_lazy, "route:lazy-backward"
+        def run() -> TypecheckResult:
+            return runner(transducer, input_type, output_type, governor=gov)
 
-    def attach(result: TypecheckResult) -> TypecheckResult:
-        if decision is not None:
-            result.stats["routing"] = {
-                "requested": method,
-                **decision.to_jsonable(),
-            }
-        return result
-
-    if gov is None:
-        with tracer.span(span_name):
-            return attach(runner(transducer, input_type, output_type))
     try:
-        with governed(gov), gov.phase(span_name), tracer.span(span_name):
-            return attach(
-                runner(transducer, input_type, output_type, governor=gov)
-            )
+        with _governing(gov, span_name), tracer.span(span_name):
+            result = run()
     except ResourceExhausted as exhausted:
-        if not fallback:
+        if gov is None or not fallback or route == "bounded":
             raise
-        fallback_gov = make_governor(timeout=timeout)
-        if fallback_gov is None:
-            with tracer.span("fallback-bounded"):
-                result = _typecheck_bounded(
-                    transducer, input_type, output_type, max_inputs, max_depth
-                )
-        else:
-            with governed(fallback_gov), \
-                    fallback_gov.phase("fallback-bounded"), \
-                    tracer.span("fallback-bounded"):
-                result = _typecheck_bounded(
-                    transducer, input_type, output_type, max_inputs, max_depth
-                )
+        with _governing(make_governor(timeout=timeout), "fallback-bounded"), \
+                tracer.span("fallback-bounded"):
+            result = bounded()
         stats = dict(result.stats)
         stats["degraded"] = True
         stats["exact_exhausted"] = exhausted.progress()
         if result.ok:
             stats["caveat"] = _BOUNDED_CAVEAT
-        degraded = TypecheckResult(
-            ok=result.ok,
-            method=route + DEGRADED_SUFFIX,
-            counterexample_input=result.counterexample_input,
-            counterexample_output=result.counterexample_output,
-            stats=stats,
+        result = replace(
+            result, method=route + DEGRADED_SUFFIX, stats=stats
         )
-        return attach(degraded)
+    if decision is not None:
+        result.stats["routing"] = {
+            "requested": method,
+            **decision.to_jsonable(),
+        }
+    return result
+
+
+def route_verdict(
+    route: str,
+    transducer: PebbleTransducer,
+    tau2: BottomUpTA,
+    stats: dict,
+    started: float,
+    governor: Optional[ResourceGovernor],
+    search: Callable[[], Optional[BTree]],
+) -> TypecheckResult:
+    """The result of an exact-class ``route``, assembled alike for all.
+
+    ``stats`` holds the route's own keys; ``seconds`` since ``started``
+    goes first, and the ``budget`` spent so far last when the call
+    installed ``governor``.  Then, in the ``witness`` phase, ``search()``
+    returns the counterexample input (``None``: the check passes), and
+    the output automaton on it (Proposition 3.8) intersected with
+    ``¬tau2`` gives the ill-typed output.
+    """
+    stats = {"seconds": time.perf_counter() - started, **stats}
+    if governor is not None:
+        stats["budget"] = {
+            "steps": governor.steps,
+            "states": governor.states,
+            "elapsed": governor.elapsed(),
+        }
+    with current_governor().phase("witness"), \
+            current_tracer().span("witness"):
+        witness = search()
+        if witness is None:
+            return TypecheckResult(ok=True, method=route, stats=stats)
+        bad_output = (
+            output_language(transducer, witness)
+            .intersection(tau2.complemented())
+            .witness()
+        )
+    return TypecheckResult(
+        ok=False,
+        method=route,
+        counterexample_input=witness,
+        counterexample_output=bad_output,
+        stats=stats,
+    )
 
 
 def _typecheck_exact(
@@ -499,45 +514,24 @@ def _typecheck_exact(
     governor: Optional[ResourceGovernor] = None,
 ) -> TypecheckResult:
     started = time.perf_counter()
-    ambient = current_governor()
     tracer = current_tracer()
     with tracer.span("coerce-input-type"):
         tau1 = as_automaton(input_type, transducer.input_alphabet)
     tau2, not_tau2 = complement_output_type(transducer, output_type)
     bad = _bad_inputs(transducer, not_tau2)
-    with ambient.phase("intersect-input-type"), \
+    with current_governor().phase("intersect-input-type"), \
             tracer.span("intersect-input-type"):
         # align alphabets before intersecting (types may use extra symbols)
         tau1 = as_automaton(tau1, bad.alphabet)
         bad = as_automaton(bad, tau1.alphabet)
         offending = bad.intersection(tau1).trimmed()
-    elapsed = time.perf_counter() - started
     stats = {
-        "seconds": elapsed,
         "bad_language_states": len(bad.states),
         "offending_states": len(offending.states),
     }
-    if governor is not None:
-        stats["budget"] = {
-            "steps": governor.steps,
-            "states": governor.states,
-            "elapsed": governor.elapsed(),
-        }
-    with ambient.phase("witness"), tracer.span("witness"):
-        witness = offending.witness()
-        if witness is None:
-            return TypecheckResult(ok=True, method="exact", stats=stats)
-        bad_output = (
-            output_language(transducer, witness)
-            .intersection(tau2.complemented())
-            .witness()
-        )
-    return TypecheckResult(
-        ok=False,
-        method="exact",
-        counterexample_input=witness,
-        counterexample_output=bad_output,
-        stats=stats,
+    return route_verdict(
+        "exact", transducer, tau2, stats, started, governor,
+        offending.witness,
     )
 
 

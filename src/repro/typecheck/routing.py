@@ -20,9 +20,10 @@ two grounded fast paths named in ROADMAP.md and documented in
   for Macro Tree Transducers", PAPERS.md) keep backward inference
   *lazy*: :func:`typecheck_lazy` builds the Proposition 4.6 product
   ``A`` (``inst(A) = {t | T(t) ∩ ¬tau2 ≠ ∅}``) but never materializes
-  its regular language.  Instead the tree-walking summary relations of
-  :mod:`repro.pebble.two_way` are computed on demand, only for the
-  states co-reachable with the input type, via
+  its regular language.  Instead the walking summary of
+  :mod:`repro.pebble.two_way` — the automaton the Theorem 4.4 pipeline
+  materializes — is evaluated on demand, only for the states
+  co-reachable with the input type, via
   :func:`repro.automata.alternating.lazy_product_witness` — the search
   stops at the first offending tree.  Applicable to every one-pebble
   transducer.
@@ -40,25 +41,22 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.automata.alternating import LazyTA, lazy_product_witness
+from repro.automata.alternating import lazy_product_witness
 from repro.errors import TypecheckError
-from repro.pebble.output_automaton import output_language
 from repro.pebble.product import transducer_times_automaton
 from repro.pebble.to_regular import trim_quotient
 from repro.pebble.transducer import Emit0, Emit2, Move, PebbleTransducer
-from repro.pebble.two_way import (
-    NONE,
-    _StateTable,
-    _down_view,
-    _entry_mask,
-    _node_relation,
-    _prepare_rules,
-    is_walking,
-)
+from repro.pebble.two_way import walking_summary
 from repro.runtime.cache import memoized
 from repro.runtime.governor import ResourceGovernor, current_governor
 from repro.runtime.trace import current_tracer
 from repro.trees.ranked import BTree
+from repro.typecheck.engine import (
+    TypecheckResult,
+    as_automaton,
+    complement_output_type,
+    route_verdict,
+)
 
 #: Route names, as reported in ``stats["method"]`` and trace spans.
 FAST_TD = "fast-td"
@@ -74,25 +72,16 @@ _BOT = object()
 class RouteDecision:
     """The classifier's verdict on a transducer.
 
-    ``route`` is the route ``method="auto"`` takes; ``fast_eligible`` /
-    ``lazy_eligible`` say which routes may be *forced*
-    (``method="fast"`` / ``"lazy"``); ``reasons`` explains, in order of
-    detection, why the fast top-down fragment was declined (empty when
-    eligible).
+    ``route`` is the route ``method="auto"`` takes; ``reasons``
+    explains, in order of detection, why the fast top-down fragment was
+    declined (empty when eligible).
     """
 
     route: str
-    fast_eligible: bool
-    lazy_eligible: bool
     reasons: tuple[str, ...] = ()
 
     def to_jsonable(self) -> dict:
-        return {
-            "route": self.route,
-            "fast_eligible": self.fast_eligible,
-            "lazy_eligible": self.lazy_eligible,
-            "reasons": list(self.reasons),
-        }
+        return {"route": self.route, "reasons": list(self.reasons)}
 
 
 def classify(transducer: PebbleTransducer) -> RouteDecision:
@@ -113,8 +102,6 @@ def classify(transducer: PebbleTransducer) -> RouteDecision:
     if transducer.k != 1:
         return RouteDecision(
             route=EXACT,
-            fast_eligible=False,
-            lazy_eligible=False,
             reasons=(
                 f"uses {transducer.k} pebbles; both fast routes need a "
                 "single head",
@@ -153,13 +140,8 @@ def classify(transducer: PebbleTransducer) -> RouteDecision:
                     f"descends into the {side} child more than once"
                 )
     if reasons:
-        return RouteDecision(
-            route=LAZY_BACKWARD,
-            fast_eligible=False,
-            lazy_eligible=True,
-            reasons=tuple(reasons),
-        )
-    return RouteDecision(route=FAST_TD, fast_eligible=True, lazy_eligible=True)
+        return RouteDecision(route=LAZY_BACKWARD, reasons=tuple(reasons))
+    return RouteDecision(route=FAST_TD)
 
 
 def _local_edges(transducer: PebbleTransducer, symbol: str, state) -> tuple:
@@ -373,7 +355,7 @@ def typecheck_fast(
     input_type,
     output_type,
     governor: Optional[ResourceGovernor] = None,
-):
+) -> TypecheckResult:
     """Decide ``T(tau1) ⊆ tau2`` for the linear top-down fragment.
 
     Least fixpoint over triples ``(q, p, b)`` — "some tree with an input
@@ -384,13 +366,11 @@ def typecheck_fast(
     determinism makes the output unique, linearity makes the two child
     triples independent).  Polynomial: at most ``|Q|·|P|·|B|`` triples.
     """
-    from repro.typecheck.engine import TypecheckResult, as_automaton
-
     started = time.perf_counter()
     gov = current_governor()
     tracer = current_tracer()
     decision = classify(transducer)
-    if not decision.fast_eligible:
+    if decision.route != FAST_TD:
         raise TypecheckError(
             "transducer is outside the fast top-down fragment: "
             + "; ".join(decision.reasons)
@@ -505,31 +485,12 @@ def typecheck_fast(
                         break
 
     stats = {
-        "seconds": time.perf_counter() - started,
         "triples": sum(len(cell) for cell in triples.values()),
         "output_dfa_states": len(dfa.states),
         "inhabited_input_states": len(inhabited),
     }
-    if governor is not None:
-        stats["budget"] = {
-            "steps": governor.steps,
-            "states": governor.states,
-            "elapsed": governor.elapsed(),
-        }
-    if bad is None:
-        return TypecheckResult(ok=True, method=FAST_TD, stats=stats)
-    with gov.phase("witness"), tracer.span("witness"):
-        bad_output = (
-            output_language(transducer, bad)
-            .intersection(tau2.complemented())
-            .witness()
-        )
-    return TypecheckResult(
-        ok=False,
-        method=FAST_TD,
-        counterexample_input=bad,
-        counterexample_output=bad_output,
-        stats=stats,
+    return route_verdict(
+        FAST_TD, transducer, tau2, stats, started, governor, lambda: bad
     )
 
 
@@ -543,25 +504,19 @@ def typecheck_lazy(
     input_type,
     output_type,
     governor: Optional[ResourceGovernor] = None,
-):
+) -> TypecheckResult:
     """Decide ``T(tau1) ⊆ tau2`` by lazy backward inference.
 
     Builds the Proposition 4.6 product ``A`` (trimmed and
-    bisimulation-quotiented) but, instead of materializing its regular
-    language via the summary construction, explores only the summary
-    relations co-reachable with ``tau1`` — the
-    :func:`~repro.automata.alternating.lazy_product_witness` search
-    over an implicit :class:`~repro.automata.alternating.LazyTA` whose
-    states are computed on demand.  Exact for every one-pebble
+    bisimulation-quotiented) but, instead of materializing its walking
+    summary (:func:`~repro.pebble.two_way.walking_summary`) as the
+    Theorem 4.4 pipeline does, explores only the summary relations
+    co-reachable with ``tau1`` — the
+    :func:`~repro.automata.alternating.lazy_product_witness` search,
+    which computes each on demand.  Exact for every one-pebble
     transducer; the search result is memoized like the eager pipeline's
     constructions.
     """
-    from repro.typecheck.engine import (
-        TypecheckResult,
-        as_automaton,
-        complement_output_type,
-    )
-
     started = time.perf_counter()
     gov = current_governor()
     tracer = current_tracer()
@@ -577,89 +532,26 @@ def typecheck_lazy(
         product = transducer_times_automaton(transducer, not_tau2)
     with gov.phase("pebble-trim"), tracer.span("pebble-trim"):
         walking = trim_quotient(product)
-    if not is_walking(walking):  # pragma: no cover - k==1 guarantees this
-        raise TypecheckError(
-            "lazy backward inference needs a walking product automaton"
-        )
 
     counts: dict = {}
 
     def search() -> Optional[BTree]:
-        table = _StateTable(walking)
-        prepared = _prepare_rules(walking, table)
-        entry_mask = _entry_mask(walking, table)
-        root_pair = table.pack(table.index[walking.initial], NONE, 0)
-        views: dict = {}
-        leaves: dict = {}
-        steps: dict = {}
-
-        def view_of(relation):
-            view = views.get(relation)
-            if view is None:
-                view = views[relation] = _down_view(relation, table)
-            return view
-
-        def leaf_state(symbol):
-            relation = leaves.get(symbol)
-            if relation is None:
-                relation = leaves[symbol] = _node_relation(
-                    prepared, table, symbol, None, entry_mask
-                )
-            return relation
-
-        def step(symbol, left, right):
-            key = (symbol, left, right)
-            relation = steps.get(key)
-            if relation is None:
-                relation = steps[key] = _node_relation(
-                    prepared,
-                    table,
-                    symbol,
-                    (view_of(left)[0], view_of(right)[1]),
-                    entry_mask,
-                )
-            return relation
-
-        lazy = LazyTA(
-            leaf_state=leaf_state,
-            step=step,
-            is_accepting=lambda relation: root_pair in relation,
+        witness = lazy_product_witness(
+            walking_summary(walking), tau1, stats=counts
         )
-        witness = lazy_product_witness(lazy, tau1, stats=counts)
-        counts["relations"] = len(leaves) + len(steps)
+        # each distinct transition yields one summary relation
+        counts["relations"] = counts.pop("transitions")
         return witness
 
     with gov.phase("lazy-pairs"):
         witness = memoized(
             "routing.lazy-backward", (walking, tau1), search
         )
-
-    stats: dict = {
-        "seconds": time.perf_counter() - started,
+    stats = {
         "product": walking.stats(),
+        "search": dict(counts) if counts else {"cached": True},
     }
-    if counts:
-        stats["search"] = dict(counts)
-    else:
-        stats["search"] = {"cached": True}
-    if governor is not None:
-        stats["budget"] = {
-            "steps": governor.steps,
-            "states": governor.states,
-            "elapsed": governor.elapsed(),
-        }
-    if witness is None:
-        return TypecheckResult(ok=True, method=LAZY_BACKWARD, stats=stats)
-    with gov.phase("witness"), tracer.span("witness"):
-        bad_output = (
-            output_language(transducer, witness)
-            .intersection(tau2.complemented())
-            .witness()
-        )
-    return TypecheckResult(
-        ok=False,
-        method=LAZY_BACKWARD,
-        counterexample_input=witness,
-        counterexample_output=bad_output,
-        stats=stats,
+    return route_verdict(
+        LAZY_BACKWARD, transducer, tau2, stats, started, governor,
+        lambda: witness,
     )

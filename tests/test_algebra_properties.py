@@ -201,7 +201,11 @@ class TestGoldenFingerprints:
     def test_pebble_pipeline_digests(self):
         from repro.lang import Apply, Out, Stylesheet, Template
         from repro.lang import xslt_to_transducer
-        from repro.pebble import transducer_times_automaton
+        from repro.pebble import (
+            transducer_times_automaton,
+            walking_automaton_to_ta,
+        )
+        from repro.pebble.to_regular import trim_quotient
         from repro.typecheck.engine import as_automaton, bu_to_td
         from repro.xmlio import parse_dtd
 
@@ -225,6 +229,13 @@ class TestGoldenFingerprints:
         product = transducer_times_automaton(machine, not_tau2)
         assert fingerprint(product) \
             == "pa:a7f19d5ef8758d49f98993d265469efa"
+        # the walking summary's rule table, state numbering included
+        summary = walking_automaton_to_ta(trim_quotient(product))
+        assert len(summary.states) == 11
+        assert fingerprint(summary, exact=True) \
+            == "ta!:006092a3e244bebfdb83b02a498bc5d6"
+        assert fingerprint(summary) \
+            == "ta:60d956839c2b6d11c043c36a1e3e9c6b"
 
 
 class TestBitsetReferenceFingerprints:

@@ -115,7 +115,9 @@ def _derivation(automaton) -> str:
 class TestDerivationKeys:
     @pytest.mark.parametrize("method,op", [
         ("exact", "pebble.to_regular"),
-        ("lazy", "routing.lazy-backward"),
+        # auto routes the wrap stylesheet to lazy-backward
+        pytest.param("auto", "routing.lazy-backward",
+                     id="lazy-routing.lazy-backward"),
     ])
     def test_memo_produced_automata_are_never_rehashed(
         self, monkeypatch, method, op

@@ -4,7 +4,10 @@ The differential evidence that the three exact-class routes agree lives
 in ``tests/test_routing_differential.py``; this module pins the routing
 *mechanics* — which machines classify where, what ``method=`` values
 do, what lands in stats and trace spans, and how degradation and audit
-compose with the fast routes.
+compose with the fast routes.  Each route is reached through
+``method="auto"``: the copy transducer takes ``fast-td``, the
+exponential transducer ``lazy-backward`` and a 2-pebble machine
+``exact``.
 """
 
 import pytest
@@ -19,10 +22,12 @@ from repro.pebble.builders import (
 from repro.pebble.transducer import Emit0, Emit2, Move, PebbleTransducer
 from repro.runtime.trace import Tracer, tracing
 from repro.trees.alphabet import RankedAlphabet
-from repro.typecheck import classify, typecheck
+from repro.typecheck import classify, typecheck, typecheck_fast, typecheck_lazy
 from repro.typecheck.engine import DEGRADED_SUFFIX, EXACT_METHODS
 
 ALPHA = RankedAlphabet(leaves={"a", "b"}, internals={"f", "g"})
+#: the exponential transducer's output alphabet adds its marker ``z``
+EXPO_OUT = exponential_transducer(ALPHA).output_alphabet
 
 
 def universal(alphabet=ALPHA) -> BottomUpTA:
@@ -66,13 +71,11 @@ class TestClassifier:
     def test_copy_is_fast(self):
         decision = classify(copy_transducer(ALPHA))
         assert decision.route == "fast-td"
-        assert decision.fast_eligible and decision.lazy_eligible
         assert decision.reasons == ()
 
     def test_exponential_declined_for_copying(self):
         decision = classify(exponential_transducer(ALPHA))
         assert decision.route == "lazy-backward"
-        assert not decision.fast_eligible and decision.lazy_eligible
         assert any("non-linear" in reason for reason in decision.reasons)
 
     def test_rotation_declined_for_up_moves(self):
@@ -87,7 +90,7 @@ class TestClassifier:
     def test_extra_pebbles_force_exact(self):
         decision = classify(two_pebble_machine())
         assert decision.route == "exact"
-        assert not decision.fast_eligible and not decision.lazy_eligible
+        assert any("2 pebbles" in reason for reason in decision.reasons)
 
     def test_stay_loop_declined(self):
         rules = {
@@ -98,7 +101,7 @@ class TestClassifier:
             levels=[["q"]], initial="q", rules=rules,
         )
         decision = classify(machine)
-        assert not decision.fast_eligible
+        assert decision.route == "lazy-backward"
         assert any("loop" in reason for reason in decision.reasons)
 
     def test_double_descent_same_side_declined(self):
@@ -114,7 +117,7 @@ class TestClassifier:
             levels=[["q", "q1", "q2"]], initial="q", rules=rules,
         )
         decision = classify(machine)
-        assert not decision.fast_eligible
+        assert decision.route == "lazy-backward"
         assert any("non-linear" in reason for reason in decision.reasons)
 
     def test_classifier_is_pure_syntax(self):
@@ -132,7 +135,7 @@ class TestMethodFlag:
         routing = result.stats["routing"]
         assert routing["requested"] == "auto"
         assert routing["route"] == "fast-td"
-        assert routing["fast_eligible"] is True
+        assert set(routing) == {"requested", "route", "reasons"}
 
     def test_exact_method_bypasses_classifier(self):
         result = typecheck(
@@ -143,17 +146,22 @@ class TestMethodFlag:
 
     def test_forced_fast_on_ineligible_machine_raises(self):
         with pytest.raises(TypecheckError, match="fast top-down fragment"):
-            typecheck(
+            typecheck_fast(
                 exponential_transducer(ALPHA), universal(),
-                universal(exponential_transducer(ALPHA).output_alphabet),
-                method="fast",
+                universal(EXPO_OUT),
             )
 
     def test_forced_lazy_on_multi_pebble_machine_raises(self):
         with pytest.raises(TypecheckError, match="single head"):
+            typecheck_lazy(two_pebble_machine(), universal(), universal())
+
+    @pytest.mark.parametrize("method", ["fast", "lazy"])
+    def test_route_names_are_not_methods(self, method):
+        # a route is forced by calling its function, not through method=
+        with pytest.raises(TypecheckError, match="unknown method"):
             typecheck(
-                two_pebble_machine(), universal(), universal(),
-                method="lazy",
+                copy_transducer(ALPHA), universal(), universal(),
+                method=method,
             )
 
     def test_unknown_method_still_rejected(self):
@@ -171,12 +179,12 @@ class TestMethodFlag:
 
 
 class TestTraceSpans:
-    def span_names(self, method):
+    def span_names(self, method, machine=None, output_type=None):
         tracer = Tracer()
         with tracing(tracer):
             typecheck(
-                copy_transducer(ALPHA), universal(), universal(),
-                method=method,
+                machine or copy_transducer(ALPHA), universal(),
+                output_type or universal(), method=method,
             )
         names = set()
         stack = [tracer.root]
@@ -193,8 +201,11 @@ class TestTraceSpans:
         assert "exact" not in names
 
     def test_lazy_emits_its_span(self):
-        names = self.span_names("lazy")
+        names = self.span_names(
+            "auto", exponential_transducer(ALPHA), universal(EXPO_OUT)
+        )
         assert "route:lazy-backward" in names
+        assert "exact" not in names
 
     def test_exact_trace_is_unchanged(self):
         names = self.span_names("exact")
@@ -206,7 +217,7 @@ class TestDegradation:
     def test_fast_route_degrades_to_bounded(self):
         result = typecheck(
             copy_transducer(ALPHA), universal(), universal(),
-            method="fast", max_steps=1, fallback=True,
+            method="auto", max_steps=1, fallback=True,
         )
         assert result.method == "fast-td" + DEGRADED_SUFFIX
         assert result.stats["degraded"] is True
@@ -215,33 +226,34 @@ class TestDegradation:
 
     def test_lazy_route_degrades_to_bounded(self):
         result = typecheck(
-            copy_transducer(ALPHA), universal(), universal(),
-            method="lazy", max_steps=1, fallback=True,
+            exponential_transducer(ALPHA), universal(), universal(EXPO_OUT),
+            method="auto", max_steps=1, fallback=True,
         )
         assert result.method == "lazy-backward" + DEGRADED_SUFFIX
+        assert result.stats["routing"]["route"] == "lazy-backward"
 
 
 class TestAuditComposition:
     def test_fast_ok_is_certifiable_in_full_mode(self):
         result = typecheck(
             copy_transducer(ALPHA), universal(), universal(),
-            method="fast", audit="full",
+            method="auto", audit="full",
         )
         assert result.ok and result.method == "fast-td"
         assert result.stats["audit"]["status"] == "certified"
 
     def test_lazy_type_error_witness_is_certified(self):
         result = typecheck(
-            copy_transducer(ALPHA), universal(), leaves_all_a(),
-            method="lazy", audit="witness",
+            exponential_transducer(ALPHA), universal(),
+            leaves_all_a(EXPO_OUT), method="auto", audit="witness",
         )
-        assert not result.ok
+        assert not result.ok and result.method == "lazy-backward"
         assert result.stats["audit"]["status"] == "certified"
 
     def test_degraded_fast_ok_is_unproven(self):
         result = typecheck(
             copy_transducer(ALPHA), universal(), universal(),
-            method="fast", max_steps=1, fallback=True, audit="witness",
+            method="auto", max_steps=1, fallback=True, audit="witness",
         )
         report = result.stats["audit"]
         assert report["status"] == "unproven"

@@ -33,7 +33,7 @@ from repro.pebble.output_automaton import output_language
 from repro.pebble.transducer import Emit0, Emit2, Move, PebbleTransducer
 from repro.runtime.cache import cache_disabled
 from repro.trees.alphabet import RankedAlphabet
-from repro.typecheck import classify, typecheck
+from repro.typecheck import classify, typecheck, typecheck_fast, typecheck_lazy
 from repro.typecheck.engine import as_automaton
 from repro.xmlio import parse_dtd
 
@@ -150,7 +150,9 @@ def assert_valid_counterexample(transducer, result, input_type, output_type):
 
 
 def run_all_routes(transducer, input_type, output_type):
-    """Every applicable route's result, keyed by requested method."""
+    """Every applicable route's result: ``exact`` and ``auto`` by method,
+    ``lazy`` (one pebble) and ``fast`` (the fast-td fragment) by calling
+    the route directly."""
     decision = classify(transducer)
     results = {
         "exact": typecheck(
@@ -158,14 +160,10 @@ def run_all_routes(transducer, input_type, output_type):
         ),
         "auto": typecheck(transducer, input_type, output_type, method="auto"),
     }
-    if decision.lazy_eligible:
-        results["lazy"] = typecheck(
-            transducer, input_type, output_type, method="lazy"
-        )
-    if decision.fast_eligible:
-        results["fast"] = typecheck(
-            transducer, input_type, output_type, method="fast"
-        )
+    if transducer.k == 1:
+        results["lazy"] = typecheck_lazy(transducer, input_type, output_type)
+    if decision.route == "fast-td":
+        results["fast"] = typecheck_fast(transducer, input_type, output_type)
     return decision, results
 
 

@@ -281,6 +281,31 @@ class TestDegradation:
         assert "caveat" in result.stats
         assert result.stats["inputs_checked"] > 0
 
+    @pytest.mark.parametrize("method", ["exact", "auto"])
+    def test_outer_governor_exhaustion_is_not_degraded(self, method):
+        # a call with no budget of its own runs under the caller's
+        # governor, whose exhaustion is the caller's to handle: fallback
+        # covers only a governor the call built or was given
+        tau = leaves_all_a()
+        outer = make_governor(max_steps=10)
+        with governed(outer), pytest.raises(ResourceExhausted):
+            typecheck(
+                copy_transducer(ALPHA), tau, tau, method=method,
+                fallback=True,
+            )
+        assert outer.steps > 10
+
+    def test_own_budget_degrades_under_an_outer_governor(self):
+        tau = leaves_all_a()
+        outer = make_governor(max_steps=10**9)
+        with governed(outer):
+            result = typecheck(
+                copy_transducer(ALPHA), tau, tau, method="exact",
+                max_steps=10, fallback=True,
+            )
+        assert result.method == DEGRADED_METHOD
+        assert result.stats["exact_exhausted"]["reason"] == "steps"
+
     def test_deadline_degradation(self):
         # an already-started governor whose deadline lapses mid-pipeline
         machine = copy_transducer(ALPHA)

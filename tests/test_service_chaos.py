@@ -10,6 +10,7 @@ attributed to the disk tier rather than hydrated memory).
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import signal
@@ -109,8 +110,10 @@ def test_kill9_with_jobs_in_flight_replays_exactly_once(tmp_path, reaper):
     })
     wedged = next(f"job-{i}" for i in range(100)
                   if plan.decide("pool:worker-wedge", f"job-{i}#1"))
-    clean = next(f"job-{i}" for i in range(100)
-                 if not plan.decide("pool:worker-wedge", f"job-{i}#1"))
+    # the job finished before the crash must not wedge either
+    clean, finished = itertools.islice(
+        (f"job-{i}" for i in range(100)
+         if not plan.decide("pool:worker-wedge", f"job-{i}#1")), 2)
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(plan.to_dict()))
     state = tmp_path / "state"
@@ -119,7 +122,7 @@ def test_kill9_with_jobs_in_flight_replays_exactly_once(tmp_path, reaper):
     reaper(first)
     client = wait_for_daemon(state / "service.sock")
     # a completed job before the crash: its result line must survive
-    done_before = client.submit(validate_job("done-before"))
+    done_before = client.submit(validate_job(finished))
     assert done_before["result"]["status"] == OK
     # one job wedges in-flight, one sits queued behind it
     assert client.submit(validate_job(wedged), wait=False)["ok"]
@@ -134,8 +137,8 @@ def test_kill9_with_jobs_in_flight_replays_exactly_once(tmp_path, reaper):
     reaper(second)
     client = wait_for_daemon(state / "service.sock")
     done = wait_for_results(state / "results.jsonl",
-                            {"done-before", wedged, clean})
-    assert done["done-before"]["status"] == OK
+                            {finished, wedged, clean})
+    assert done[finished]["status"] == OK
     assert done[wedged]["status"] == OK
     assert done[clean]["status"] == OK
     assert client.stats()["stats"]["replayed"] == 2
@@ -144,7 +147,7 @@ def test_kill9_with_jobs_in_flight_replays_exactly_once(tmp_path, reaper):
     ids = [json.loads(line)["id"] for line in
            (state / "results.jsonl").read_text().splitlines()
            if line.strip()]
-    assert sorted(ids) == sorted(["done-before", wedged, clean])
+    assert sorted(ids) == sorted([finished, wedged, clean])
 
     assert client.shutdown()["ok"]
     assert second.wait(timeout=30) == 0
