@@ -450,8 +450,9 @@ def audit_record(
     yield ``skipped``.
     """
     from repro.lang import parse_stylesheet, xslt_to_transducer
+    from repro.runtime.jobs import _text_input
     from repro.trees.encoding import encode
-    from repro.xmlio import parse_xml
+    from repro.xmlio import parse_dtd_any, parse_xml
 
     detail = record.get("detail") if isinstance(record.get("detail"),
                                                 Mapping) else record
@@ -466,9 +467,9 @@ def audit_record(
             status=SKIPPED, mode=resolve_audit_mode(mode),
             reason="record carries no typecheck verdict",
         )
-    sheet = parse_stylesheet(_param_text(params, "stylesheet"))
-    input_dtd = _load_record_dtd(_param_text(params, "input_dtd"))
-    output_dtd = _load_record_dtd(_param_text(params, "output_dtd"))
+    sheet = parse_stylesheet(_text_input(params, "stylesheet"))
+    input_dtd = parse_dtd_any(_text_input(params, "input_dtd"))
+    output_dtd = parse_dtd_any(_text_input(params, "output_dtd"))
     machine = xslt_to_transducer(
         sheet, tags=input_dtd.symbols, root_tag=input_dtd.root
     )
@@ -488,16 +489,3 @@ def audit_record(
     return audit_result(
         machine, input_dtd, output_dtd, result, mode=mode, **kwargs
     )
-
-
-def _param_text(params: Mapping, name: str) -> str:
-    """Resolve an ``X``/``X_text`` manifest input (inline text wins)."""
-    from repro.runtime.jobs import _text_input
-
-    return _text_input(params, name)
-
-
-def _load_record_dtd(text: str):
-    from repro.runtime.jobs import _load_dtd
-
-    return _load_dtd(text)

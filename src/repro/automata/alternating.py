@@ -23,6 +23,10 @@ carrying a representative tree per pair.  It returns the first tree
 accepted by both sides, or ``None`` when the product language is empty
 — without ever enumerating the unreachable part of either automaton.
 
+:func:`deterministic_view` presents an explicit complete deterministic
+automaton as a :class:`LazyTA`, so the same search decides
+:meth:`~repro.automata.bottom_up.BottomUpTA.product_witness`.
+
 :func:`materialize` is the eager counterpart: every state reachable
 over an alphabet, as explicit rule tables.  The Theorem 4.7 summary
 construction is this applied to the walking summary, so the eager and
@@ -36,6 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
 
 from repro.automata.bottom_up import BottomUpTA
+from repro.errors import AutomatonError
 from repro.runtime.governor import current_governor
 from repro.trees.alphabet import RankedAlphabet
 from repro.trees.ranked import BTree
@@ -62,6 +67,25 @@ class LazyTA:
     leaf_state: Callable[[str], LazyState]
     step: Callable[[str, LazyState, LazyState], LazyState]
     is_accepting: Callable[[LazyState], bool]
+
+
+def deterministic_view(ta: BottomUpTA) -> LazyTA:
+    """A complete deterministic ``ta`` as a :class:`LazyTA` over its own
+    states; any other ``ta`` raises :class:`~repro.errors.AutomatonError`.
+    """
+    if not ta.is_complete_deterministic():
+        raise AutomatonError("expected a complete deterministic automaton")
+    leaf_rules, rules = ta.leaf_rules, ta.rules
+
+    def leaf_state(symbol: str) -> LazyState:
+        (state,) = leaf_rules[symbol]
+        return state
+
+    def step(symbol: str, left: LazyState, right: LazyState) -> LazyState:
+        (state,) = rules[(symbol, left, right)]
+        return state
+
+    return LazyTA(leaf_state, step, ta.accepting.__contains__)
 
 
 def lazy_product_witness(

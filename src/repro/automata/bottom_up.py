@@ -249,200 +249,28 @@ class BottomUpTA:
 
     # -- on-the-fly product emptiness (Frisch-Hosoya style) ----------------------
 
-    def product_is_empty(
-        self,
-        other: "BottomUpTA",
-        combine: Optional[Callable[[bool, bool], bool]] = None,
-    ) -> bool:
-        """Emptiness of the ``combine``-product language, decided on the fly.
+    def product_witness(self, other: "BottomUpTA") -> Optional[BTree]:
+        """A tree in ``L(self) ∩ L(other)``, or ``None`` if there is none.
 
-        Unlike ``product(...).is_empty()`` this never materializes the
-        product automaton: it explores only the *reachable* product pairs
-        and stops as soon as one accepting pair appears.  ``combine``
-        defaults to intersection.  As with :meth:`product`, only pairs where
-        both automata have a run are considered, so for non-complete inputs
-        ``combine`` should satisfy ``combine(False, False) == False``.
+        Runs :func:`~repro.automata.alternating.lazy_product_witness` over
+        ``other`` as a :func:`~repro.automata.alternating.deterministic_view`:
+        only reachable pairs are explored and the search stops at the first
+        accepting one, so the witness is that pair's tree, not necessarily a
+        smallest one.  ``other`` must be complete deterministic (else
+        :class:`AutomatonError`), as :meth:`complemented` always is, so
+        ``a.product_witness(b.complemented())`` witnesses ``L(a) - L(b)``.
         """
-        if combine is None:
-            combine = lambda a, b: a and b  # noqa: E731
-        table = tuple(
-            combine(a, b) for a in (False, True) for b in (False, True)
-        )
-        return memoized(
-            "ta.product_empty",
-            (self, other),
-            lambda: self._product_is_empty(other, combine),
-            extra=(table,),
-        )
+        from repro.automata import alternating  # it imports this module
 
-    def _product_is_empty(
-        self, other: "BottomUpTA", combine: Callable[[bool, bool], bool]
-    ) -> bool:
         if self.alphabet.symbols != other.alphabet.symbols:
             raise AutomatonError("product requires identical alphabets")
-        governor = current_governor()
-        a, b = ta_index(self), ta_index(other)
-        na, nb = a.n, b.n
-        a_acc, b_acc = a.accepting_mask, b.accepting_mask
 
-        def is_accepting(code: int) -> bool:
-            ai, bi = divmod(code, nb)
-            return combine(bool((a_acc >> ai) & 1), bool((b_acc >> bi) & 1))
+        def search() -> Optional[BTree]:
+            lazy = alternating.deterministic_view(other)
+            return alternating.lazy_product_witness(lazy, self)
 
-        seen: dict[int, None] = {}
-        for symbol in sorted(self.alphabet.leaves):
-            amask = a.leaf.get(symbol, 0)
-            bmask = b.leaf.get(symbol, 0)
-            if not (amask and bmask):
-                continue
-            for ai in bit_indices(amask):
-                base = ai * nb
-                for bi in bit_indices(bmask):
-                    code = base + bi
-                    if code not in seen:
-                        seen[code] = None
-                        governor.add_states()
-                        if is_accepting(code):
-                            return False
-        internals = sorted(self.alphabet.internals)
-        frontier = list(seen)
-        while frontier:
-            known = list(seen)
-            new_codes: list[int] = []
-            frontier_set = set(frontier)
-            for symbol in internals:
-                arow = a.pair.get(symbol)
-                brow = b.pair.get(symbol)
-                if not (arow and brow):
-                    continue
-                for c1 in known:
-                    a1, b1 = divmod(c1, nb)
-                    for c2 in known:
-                        governor.tick()
-                        if c1 not in frontier_set and c2 not in frontier_set:
-                            continue
-                        a2, b2 = divmod(c2, nb)
-                        amask = arow.get(a1 * na + a2, 0)
-                        if not amask:
-                            continue
-                        bmask = brow.get(b1 * nb + b2, 0)
-                        if not bmask:
-                            continue
-                        for ai in bit_indices(amask):
-                            base = ai * nb
-                            for bi in bit_indices(bmask):
-                                code = base + bi
-                                if code not in seen:
-                                    seen[code] = None
-                                    governor.add_states()
-                                    new_codes.append(code)
-                                    if is_accepting(code):
-                                        return False
-            frontier = new_codes
-        return True
-
-    def product_witness(
-        self,
-        other: "BottomUpTA",
-        combine: Optional[Callable[[bool, bool], bool]] = None,
-    ) -> Optional[BTree]:
-        """A smallest-ish tree of the ``combine``-product language, found
-        without materializing the product automaton.
-
-        Equivalent to ``product(other, combine).trimmed().witness()`` but
-        runs the cheapest-derivation fixpoint directly over the reachable
-        product pairs.  ``combine`` defaults to intersection, so
-        ``a.product_witness(b.complemented())`` is a witness for
-        ``L(a) - L(b)``.
-        """
-        if combine is None:
-            combine = lambda a, b: a and b  # noqa: E731
-        table = tuple(
-            combine(a, b) for a in (False, True) for b in (False, True)
-        )
         with current_tracer().span("ta.product_witness"):
-            return memoized(
-                "ta.product_witness",
-                (self, other),
-                lambda: self._product_witness(other, combine),
-                extra=(table,),
-            )
-
-    def _product_witness(
-        self, other: "BottomUpTA", combine: Callable[[bool, bool], bool]
-    ) -> Optional[BTree]:
-        if self.alphabet.symbols != other.alphabet.symbols:
-            raise AutomatonError("product requires identical alphabets")
-        governor = current_governor()
-        a, b = ta_index(self), ta_index(other)
-        na, nb = a.n, b.n
-        best: dict[int, BTree] = {}
-        size: dict[int, int] = {}
-        for symbol in sorted(self.alphabet.leaves):
-            amask = a.leaf.get(symbol, 0)
-            bmask = b.leaf.get(symbol, 0)
-            if not (amask and bmask):
-                continue
-            tree = BTree(symbol)
-            for ai in bit_indices(amask):
-                base = ai * nb
-                for bi in bit_indices(bmask):
-                    code = base + bi
-                    if code not in best:
-                        best[code] = tree
-                        size[code] = 1
-                        governor.add_states()
-        internals = sorted(self.alphabet.internals)
-        changed = True
-        while changed:
-            changed = False
-            known = list(best)
-            for symbol in internals:
-                arow = a.pair.get(symbol)
-                brow = b.pair.get(symbol)
-                if not (arow and brow):
-                    continue
-                for c1 in known:
-                    a1, b1 = divmod(c1, nb)
-                    for c2 in known:
-                        governor.tick()
-                        a2, b2 = divmod(c2, nb)
-                        amask = arow.get(a1 * na + a2, 0)
-                        if not amask:
-                            continue
-                        bmask = brow.get(b1 * nb + b2, 0)
-                        if not bmask:
-                            continue
-                        candidate_size = size[c1] + size[c2] + 1
-                        candidate: Optional[BTree] = None
-                        for ai in bit_indices(amask):
-                            base = ai * nb
-                            for bi in bit_indices(bmask):
-                                code = base + bi
-                                known_size = size.get(code)
-                                if (
-                                    known_size is None
-                                    or candidate_size < known_size
-                                ):
-                                    if candidate is None:
-                                        candidate = BTree(
-                                            symbol, best[c1], best[c2]
-                                        )
-                                    if known_size is None:
-                                        governor.add_states()
-                                    best[code] = candidate
-                                    size[code] = candidate_size
-                                    changed = True
-        a_acc, b_acc = a.accepting_mask, b.accepting_mask
-        winner: Optional[BTree] = None
-        winner_size = 0
-        for code in sorted(best):
-            ai, bi = divmod(code, nb)
-            if combine(bool((a_acc >> ai) & 1), bool((b_acc >> bi) & 1)):
-                if winner is None or size[code] < winner_size:
-                    winner = best[code]
-                    winner_size = size[code]
-        return winner
+            return memoized("ta.product_witness", (self, other), search)
 
     def generate(
         self,

@@ -110,21 +110,14 @@ from repro.runtime import (
 from repro.trees import decode
 from repro.typecheck import typecheck
 from repro.typecheck.engine import DEGRADED_SUFFIX, EXACT_METHODS, METHODS
-from repro.xmlio import DTD, parse_dtd, parse_dtd_xml, parse_xml, to_xml
+from repro.xmlio import parse_dtd_any, parse_xml, to_xml
 
 #: ``--trace`` with no FILE operand (tree on stderr, no JSONL).
 _TRACE_STDERR = ""
 
 
-def _load_dtd(path: str) -> DTD:
-    text = Path(path).read_text()
-    if "<!ELEMENT" in text:
-        return parse_dtd_xml(text)
-    return parse_dtd(text)
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
-    dtd = _load_dtd(args.dtd)
+    dtd = parse_dtd_any(Path(args.dtd).read_text())
     document = parse_xml(Path(args.document).read_text())
     errors = dtd.validation_errors(document)
     if not errors:
@@ -155,8 +148,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_typecheck(args: argparse.Namespace) -> int:
     with current_tracer().span("parse-inputs"):
         sheet = parse_stylesheet(Path(args.stylesheet).read_text())
-        input_dtd = _load_dtd(args.input_dtd)
-        output_dtd = _load_dtd(args.output_dtd)
+        input_dtd = parse_dtd_any(Path(args.input_dtd).read_text())
+        output_dtd = parse_dtd_any(Path(args.output_dtd).read_text())
         machine = xslt_to_transducer(
             sheet, tags=input_dtd.symbols, root_tag=input_dtd.root
         )

@@ -180,11 +180,6 @@ class _DeciderBuilder:
             return ("symbol", PAD)
         return ("pebble", marker)  # a pebble index
 
-    def _pebbles_for(self, level: int, index: int, value: int):
-        """A partial pebble guard: pebble ``index`` present/absent."""
-        bits = {index: value}
-        return bits
-
     def guard_pairs(self, marker, level: int):
         """(positive, negative) guard descriptors for a marker test at a
         level-``level`` state: each is (symbols|None, pebbles-dict|None).

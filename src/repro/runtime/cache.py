@@ -80,7 +80,6 @@ __all__ = [
     "configure_cache",
     "cache_disabled",
     "install_persistent",
-    "current_persistent",
     "persistent_tier",
     "tracked_keys",
     "quarantine_keys",
@@ -827,11 +826,6 @@ def install_persistent(disk: Optional[Any]) -> None:
     """
     global _PERSISTENT
     _PERSISTENT = disk
-
-
-def current_persistent() -> Optional[Any]:
-    """The installed persistent tier, or ``None``."""
-    return _PERSISTENT
 
 
 @contextmanager

@@ -103,14 +103,6 @@ def _text_input(params: Mapping, name: str, required: bool = True
     return None
 
 
-def _load_dtd(text: str):
-    from repro.xmlio import parse_dtd, parse_dtd_xml
-
-    if "<!ELEMENT" in text:
-        return parse_dtd_xml(text)
-    return parse_dtd(text)
-
-
 def execute_job(payload: Mapping) -> dict:
     """Run one job payload to completion in this process.
 
@@ -147,10 +139,11 @@ def execute_job(payload: Mapping) -> dict:
 def _job_typecheck(params: Mapping) -> dict:
     from repro.lang import parse_stylesheet, xslt_to_transducer
     from repro.typecheck import typecheck
+    from repro.xmlio import parse_dtd_any
 
     sheet = parse_stylesheet(_text_input(params, "stylesheet"))
-    input_dtd = _load_dtd(_text_input(params, "input_dtd"))
-    output_dtd = _load_dtd(_text_input(params, "output_dtd"))
+    input_dtd = parse_dtd_any(_text_input(params, "input_dtd"))
+    output_dtd = parse_dtd_any(_text_input(params, "output_dtd"))
     machine = xslt_to_transducer(
         sheet, tags=input_dtd.symbols, root_tag=input_dtd.root
     )
@@ -207,9 +200,9 @@ def _job_run(params: Mapping) -> dict:
 
 
 def _job_validate(params: Mapping) -> dict:
-    from repro.xmlio import parse_xml
+    from repro.xmlio import parse_dtd_any, parse_xml
 
-    dtd = _load_dtd(_text_input(params, "dtd"))
+    dtd = parse_dtd_any(_text_input(params, "dtd"))
     document = parse_xml(_text_input(params, "document"))
     errors = dtd.validation_errors(document)
     if not errors:

@@ -815,10 +815,6 @@ class ServiceDaemon:
         while not self._draining.wait(timeout=controller.interval):
             depth = sum(q.qsize() for q in self._queues)
             controller.evaluate(depth)
-            if self._tracer is not None and self._tracer.active:
-                self._tracer.metrics.gauge("service.pressure_level").set(
-                    controller.level
-                )
             ticks += 1
             if ticks % saves_every == 0:
                 self._costs.save()
@@ -1025,8 +1021,6 @@ class ServiceDaemon:
             # the input's health: it never touches the breaker
             reason = result.detail["shed"]
             self._shed_reasons[reason] += 1
-            if self._tracer is not None and self._tracer.active:
-                self._tracer.metrics.counter(f"service.shed.{reason}").inc()
         else:
             self._breaker.record(affinity_key(spec.to_dict()), result.status)
 

@@ -221,9 +221,10 @@ class RetryPolicy:
     from ``seed`` and the job id so schedules are reproducible).  Only
     statuses in ``retry_on`` are retried.  With ``degrade=True`` a
     retry after a *resource* failure (timeout / oom / exhausted) runs a
-    degraded job: exact typechecking becomes the bounded falsifier, and
-    cooperative budgets are installed from the wall limit and multiplied
-    by ``budget_scale`` for every resource failure seen so far.
+    degraded job: exact-class typechecking (``auto`` or ``exact``)
+    becomes the bounded falsifier, and cooperative budgets are
+    installed from the wall limit and multiplied by ``budget_scale``
+    for every resource failure seen so far.
     """
 
     max_attempts: int = 1
@@ -1303,8 +1304,9 @@ def _degraded(
     Two moves, mirroring ``typecheck(fallback=...)``'s exact→bounded
     policy but applied *between* attempts:
 
-    * exact typechecking degrades to the bounded falsifier (sound for
-      rejection, cheap, and the paper's Section 5 answer to Theorem 4.8);
+    * exact-class typechecking (every method but ``bounded``, so ``auto``
+      too) degrades to the bounded falsifier (sound for rejection, cheap,
+      and the paper's Section 5 answer to Theorem 4.8);
     * cooperative budgets are installed (from the wall limit) or
       tightened by ``budget_scale`` per resource failure, so the retry
       exhausts *cooperatively* — with phase/step diagnostics — instead of
@@ -1313,7 +1315,7 @@ def _degraded(
     params = dict(spec.params)
     scale = policy.budget_scale**resource_failures
     if spec.kind == "typecheck":
-        if params.get("method", "exact") == "exact":
+        if params.get("method", "exact") != "bounded":
             params["method"] = "bounded"
             params["max_inputs"] = max(
                 1, int(params.get("max_inputs", 50) * scale)

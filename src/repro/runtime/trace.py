@@ -147,11 +147,11 @@ class Histogram:
 
     No buckets: the pipeline's distributions are heavy-tailed across many
     orders of magnitude (Theorem 4.8), so fixed buckets would mislead;
-    count + sum + extremes are what the span-tree summaries need.  For
-    load control (the service's brownout governor keys off p95 queue
-    latency) a bounded window of the most recent observations is kept,
-    so :meth:`percentile` reflects *current* behaviour, stays O(window)
-    in memory forever, and decays once a burst has drained.
+    count + sum + extremes are what the span-tree summaries need.  A
+    bounded window of the most recent observations is kept besides, so
+    :meth:`percentile` (and the ``p50``/``p95`` of a snapshot) reflects
+    *current* behaviour, stays O(window) in memory forever, and decays
+    once a burst has drained.
     """
 
     __slots__ = ("count", "total", "min", "max", "_recent")

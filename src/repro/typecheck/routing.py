@@ -58,7 +58,7 @@ from repro.typecheck.engine import (
     route_verdict,
 )
 
-#: Route names, as reported in ``stats["method"]`` and trace spans.
+#: Route names, as reported in ``result.method`` and trace spans.
 FAST_TD = "fast-td"
 LAZY_BACKWARD = "lazy-backward"
 EXACT = "exact"
@@ -328,8 +328,8 @@ def _local_value(
 
 
 def _inhabited(tau1) -> dict:
-    """A representative tree per reachable input-type state (cheapest
-    derivation fixpoint)."""
+    """A representative tree per reachable input-type state: the first
+    derivation the fixpoint finds for it, not necessarily the smallest."""
     governor = current_governor()
     trees: dict = {}
     for symbol in sorted(tau1.leaf_rules):

@@ -184,6 +184,15 @@ def parse_dtd_xml(text: str, root: str | None = None) -> DTD:
     return DTD(root or first, content)
 
 
+def parse_dtd_any(text: str) -> DTD:
+    """Parse ``text`` in whichever syntax it uses: classic declarations
+    when it contains ``<!ELEMENT`` (:func:`parse_dtd_xml`), else the
+    paper's rule notation (:func:`parse_dtd`)."""
+    if "<!ELEMENT" in text:
+        return parse_dtd_xml(text)
+    return parse_dtd(text)
+
+
 def _parse_xml_content_model(text: str) -> Regex:
     text = text.strip()
     if text in ("EMPTY", "(#PCDATA)", "#PCDATA"):

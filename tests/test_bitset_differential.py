@@ -21,8 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.automata import BottomUpTA
+from repro.automata import BottomUpTA, alternating
 from repro.automata.bitset import reference_algebra
+from repro.errors import AutomatonError
 from repro.lang import (
     Apply,
     Out,
@@ -40,7 +41,8 @@ from repro.data import (
     q2_tight_output_dtd,
 )
 from repro.regex import EPSILON, compile_regex, star, sym, union, concat
-from repro.runtime import clear_cache
+from repro.runtime import cache_stats, clear_cache
+from repro.runtime.cache import GLOBAL_CACHE
 from repro.trees import BTree, RankedAlphabet
 from repro.typecheck import typecheck, typecheck_selection
 from repro.xmlio import parse_dtd
@@ -235,6 +237,35 @@ class TestTreeAutomata:
             if witness is not None:
                 assert one.accepts(witness)
                 assert not det.accepts(witness)
+
+    def test_product_witness_needs_a_complete_deterministic_other(self):
+        nondeterministic = next(
+            automaton
+            for automaton in map(_random_automaton, range(121))
+            if not automaton.is_deterministic()
+        )
+        with pytest.raises(AutomatonError):
+            _random_automaton(0).product_witness(nondeterministic)
+
+    def test_repeated_product_witness_is_a_memo_hit(self, monkeypatch):
+        searches = []
+        search = alternating.lazy_product_witness
+
+        def counted(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(alternating, "lazy_product_witness", counted)
+        monkeypatch.setattr(GLOBAL_CACHE, "enabled", True)
+        clear_cache()
+        one = _random_automaton(3)
+        other = _random_automaton(5).complemented()
+        first = one.product_witness(other)
+        hits = cache_stats()["hits"]
+        assert one.product_witness(other) == first
+        assert cache_stats()["hits"] == hits + 1
+        assert len(searches) == 1
+        clear_cache()
 
 
 class TestRegexAndDFA:

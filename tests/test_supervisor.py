@@ -266,14 +266,14 @@ def test_policy_validation():
 # -- degradation -------------------------------------------------------------
 
 
-def test_degradation_rewrites_exact_to_bounded_with_budgets():
-    spec = JobSpec(
-        id="d1",
-        kind="typecheck",
-        params={"stylesheet_text": "s", "input_dtd_text": "i",
-                "output_dtd_text": "o", "method": "exact",
-                "max_inputs": 40},
-    )
+@pytest.mark.parametrize("method", ["exact", "auto", None],
+                         ids=["exact", "auto", "no-method"])
+def test_degradation_rewrites_exact_to_bounded_with_budgets(method):
+    params = {"stylesheet_text": "s", "input_dtd_text": "i",
+              "output_dtd_text": "o", "max_inputs": 40}
+    if method is not None:
+        params["method"] = method
+    spec = JobSpec(id="d1", kind="typecheck", params=params)
     policy = RetryPolicy(max_attempts=3, budget_scale=0.5)
     limits = JobLimits(wall_seconds=10.0)
     degraded = _degraded(spec, limits, policy, resource_failures=1)
