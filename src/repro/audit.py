@@ -444,15 +444,15 @@ def audit_record(
     ``record`` is a job-result line (``repro-job-result/v2`` — from
     ``repro batch`` results or the service's ``results.jsonl``) or a raw
     outcome dict; ``params`` is the matching manifest entry's ``params``
-    (the stylesheet and DTDs the verdict was computed from).  The
-    recorded XML counterexamples are parsed and re-encoded, then audited
-    exactly like a fresh result.  Non-typecheck or non-verdict records
-    yield ``skipped``.
+    (the stylesheet and DTDs the verdict was computed from), loaded and
+    compiled by :func:`repro.runtime.jobs.typecheck_inputs` as the job
+    itself was.  The recorded XML counterexamples are parsed and
+    re-encoded, then audited exactly like a fresh result.  Non-typecheck
+    or non-verdict records yield ``skipped``.
     """
-    from repro.lang import parse_stylesheet, xslt_to_transducer
-    from repro.runtime.jobs import _text_input
+    from repro.runtime.jobs import typecheck_inputs
     from repro.trees.encoding import encode
-    from repro.xmlio import parse_dtd_any, parse_xml
+    from repro.xmlio import parse_xml
 
     detail = record.get("detail") if isinstance(record.get("detail"),
                                                 Mapping) else record
@@ -467,12 +467,7 @@ def audit_record(
             status=SKIPPED, mode=resolve_audit_mode(mode),
             reason="record carries no typecheck verdict",
         )
-    sheet = parse_stylesheet(_text_input(params, "stylesheet"))
-    input_dtd = parse_dtd_any(_text_input(params, "input_dtd"))
-    output_dtd = parse_dtd_any(_text_input(params, "output_dtd"))
-    machine = xslt_to_transducer(
-        sheet, tags=input_dtd.symbols, root_tag=input_dtd.root
-    )
+    machine, input_dtd, output_dtd = typecheck_inputs(params)
 
     def tree_of(key: str) -> Optional[BTree]:
         xml = detail.get(key)

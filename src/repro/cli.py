@@ -35,6 +35,12 @@ DTD files use either the paper's rule notation (``a := b*.c.e``) or
 classic ``<!ELEMENT ...>`` declarations (auto-detected); stylesheets use
 the XSLT fragment of :mod:`repro.lang.xslt`.
 
+``validate``, ``run`` and ``typecheck`` turn their flags into a job (the
+file paths as its params) and run it in this process through
+:func:`repro.runtime.jobs.execute_classified`, the function every pool
+worker runs, so a job gets the same outcome and exit code here as in
+``batch`` or ``serve``.
+
 ``batch`` consumes a JSONL manifest (one job object per line — see
 :mod:`repro.runtime.supervisor` and the README schema), runs every job
 in a supervised worker subprocess with hard wall/RSS limits, streams one
@@ -65,11 +71,11 @@ manifest.  A refuted verdict is reported ``miscompiled`` and exits 6.
 Exit codes (see :mod:`repro.errors`): 0 on success, 1 when
 typechecking/validation rejects, 2 on usage or input errors, 3 when a
 resource budget (``--timeout`` / ``--max-steps`` / ``--max-states``) was
-exhausted with no fallback, 4 when a worker crashed or was killed at a
-hard limit, 5 when an overloaded daemon shed the job without running it
-(retryable — back off and resubmit), 6 when the audit refuted a verdict
-(``miscompiled`` — the answer cannot be trusted).  ``batch`` exits with
-the most severe job status.
+exhausted with no fallback, 4 when a job crashed (an unexpected error,
+or a worker killed at a hard limit), 5 when an overloaded daemon shed
+the job without running it (retryable — back off and resubmit), 6 when
+the audit refuted a verdict (``miscompiled`` — the answer cannot be
+trusted).  ``batch`` exits with the most severe job status.
 
 Observability (see docs/observability.md): ``--trace`` on ``run`` /
 ``typecheck`` / ``batch`` prints a span tree on stderr; ``--trace=FILE``
@@ -89,87 +95,85 @@ import os
 import sys
 from pathlib import Path
 
-from repro.errors import (
-    EXIT_MISCOMPILED,
-    ReproError,
-    ResourceExhausted,
-    exit_code_for,
-)
-from repro.lang import apply_stylesheet, parse_stylesheet, xslt_to_transducer
+from repro.errors import EXIT_MISCOMPILED, ReproError, exit_code_for
 from repro.runtime import (
     Tracer,
     cache_disabled,
-    current_tracer,
-    governed,
-    make_governor,
     render_tree,
     trace_env_setting,
     tracing,
     write_jsonl,
 )
-from repro.trees import decode
-from repro.typecheck import typecheck
-from repro.typecheck.engine import DEGRADED_SUFFIX, EXACT_METHODS, METHODS
-from repro.xmlio import parse_dtd_any, parse_xml, to_xml
+from repro.runtime.jobs import (
+    EXHAUSTED,
+    MISCOMPILED,
+    OK,
+    TYPE_ERROR,
+    execute_classified,
+    exit_code_for_statuses,
+)
+from repro.typecheck.engine import (
+    DEFAULT_METHOD,
+    DEGRADED_SUFFIX,
+    EXACT_METHODS,
+    METHODS,
+)
+from repro.xmlio import parse_xml, to_xml
 
 #: ``--trace`` with no FILE operand (tree on stderr, no JSONL).
 _TRACE_STDERR = ""
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    dtd = parse_dtd_any(Path(args.dtd).read_text())
-    document = parse_xml(Path(args.document).read_text())
-    errors = dtd.validation_errors(document)
-    if not errors:
+#: The flags each job-running command hands its job, as params: the
+#: argparse names are the job wire's parameter names.
+_JOB_PARAMS = {
+    "validate": ("dtd", "document"),
+    "run": ("stylesheet", "document", "timeout", "max_steps"),
+    "typecheck": ("stylesheet", "input_dtd", "output_dtd", "method",
+                  "max_inputs", "timeout", "max_steps", "max_states",
+                  "fallback", "audit"),
+}
+
+
+def _run_job(args: argparse.Namespace) -> int:
+    """``validate`` / ``run`` / ``typecheck``: run the command's job in
+    this process, down the path every pool worker takes, and exit like
+    ``repro batch`` would for it.
+
+    ``args.report`` prints an outcome that carries a verdict; any other
+    outcome is reported on stderr here.
+    """
+    params = {name: getattr(args, name) for name in _JOB_PARAMS[args.command]}
+    no_cache = getattr(args, "no_cache", False)
+    with cache_disabled() if no_cache else contextlib.nullcontext():
+        outcome = execute_classified({"kind": args.command, "params": params})
+    status = outcome["status"]
+    if status in (OK, TYPE_ERROR, MISCOMPILED):
+        args.report(args, outcome)
+    else:
+        if outcome.get("traceback"):
+            print(outcome["traceback"], end="", file=sys.stderr)
+        budget = "resource budget exhausted: " if status == EXHAUSTED else ""
+        print(f"error: {budget}{outcome.get('error')}", file=sys.stderr)
+    return exit_code_for_statuses([status])
+
+
+def _report_validate(args: argparse.Namespace, outcome: dict) -> None:
+    if outcome["status"] == OK:
         print(f"{args.document}: valid")
-        return 0
-    for address, message in errors:
-        location = "/" + "/".join(str(step) for step in address)
-        print(f"{args.document}:{location}: {message}")
-    return 1
+    for error in outcome.get("errors", ()):
+        print(f"{args.document}:{error['address']}: {error['message']}")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    tracer = current_tracer()
-    with tracer.span("parse-inputs"):
-        sheet = parse_stylesheet(Path(args.stylesheet).read_text())
-        document = parse_xml(Path(args.document).read_text())
-    governor = make_governor(timeout=args.timeout, max_steps=args.max_steps)
-    with tracer.span("apply-stylesheet"):
-        if governor is None:
-            output = apply_stylesheet(sheet, document)
-        else:
-            with governed(governor):
-                output = apply_stylesheet(sheet, document)
-    print(to_xml(output, indent=2))
-    return 0
+def _report_run(args: argparse.Namespace, outcome: dict) -> None:
+    # the job wire carries the output compact; the CLI prints it indented
+    print(to_xml(parse_xml(outcome["output"]), indent=2))
 
 
-def _cmd_typecheck(args: argparse.Namespace) -> int:
-    with current_tracer().span("parse-inputs"):
-        sheet = parse_stylesheet(Path(args.stylesheet).read_text())
-        input_dtd = parse_dtd_any(Path(args.input_dtd).read_text())
-        output_dtd = parse_dtd_any(Path(args.output_dtd).read_text())
-        machine = xslt_to_transducer(
-            sheet, tags=input_dtd.symbols, root_tag=input_dtd.root
-        )
-    with contextlib.ExitStack() as stack:
-        if args.no_cache:
-            stack.enter_context(cache_disabled())
-        result = typecheck(
-            machine,
-            input_dtd,
-            output_dtd,
-            method=args.method,
-            max_inputs=args.max_inputs,
-            timeout=args.timeout,
-            max_steps=args.max_steps,
-            max_states=args.max_states,
-            fallback=args.fallback,
-            audit=args.audit,
-        )
+def _report_typecheck(args: argparse.Namespace, outcome: dict) -> None:
+    stats = outcome["stats"]
     if args.cache_stats:
-        counters = result.stats.get("cache", {})
+        counters = stats.get("cache", {})
         print(
             "cache: "
             + " ".join(
@@ -180,52 +184,44 @@ def _cmd_typecheck(args: argparse.Namespace) -> int:
             + f" enabled={'yes' if counters.get('enabled') else 'no'}",
             file=sys.stderr,
         )
-    degraded = result.method.endswith(DEGRADED_SUFFIX)
-    if degraded:
-        exhausted = result.stats.get("exact_exhausted", {})
-        route = result.method[: -len(DEGRADED_SUFFIX)]
+    method = outcome["method"]
+    if method.endswith(DEGRADED_SUFFIX):
+        exhausted = stats.get("exact_exhausted", {})
         print(
-            f"note: {route} engine ran out of "
+            f"note: {method[: -len(DEGRADED_SUFFIX)]} engine ran out of "
             f"{exhausted.get('reason', 'budget')} in phase "
             f"{exhausted.get('phase', '?')!r}; "
             "degraded to the bounded falsifier",
             file=sys.stderr,
         )
-    routing = result.stats.get("routing")
+    routing = stats.get("routing")
     if routing is not None and routing.get("requested") == "auto":
-        print(f"method: {result.method} (auto)", file=sys.stderr)
-    audit_report = result.stats.get("audit")
-    if result.ok:
-        if result.method in EXACT_METHODS:
+        print(f"method: {method} (auto)", file=sys.stderr)
+    if outcome["ok"]:
+        if method in EXACT_METHODS:
             qualifier = ""
             confidence = "exact proof"
         else:
             qualifier = (
-                f" (on {result.stats.get('inputs_checked', '?')} "
-                "sample inputs)"
+                f" (on {stats.get('inputs_checked', '?')} sample inputs)"
             )
             confidence = "bounded — not a proof"
         print(f"typechecks{qualifier}")
         print(f"verdict: ok ({confidence})")
-        return _audit_verdict(audit_report, 0)
-    print("DOES NOT typecheck")
-    print("  counterexample input: ",
-          to_xml(decode(result.counterexample_input)))
-    if result.counterexample_output is not None:
-        print("  ill-typed output:     ",
-              to_xml(decode(result.counterexample_output)))
-    return _audit_verdict(audit_report, 1)
+    else:
+        print("DOES NOT typecheck")
+        print("  counterexample input: ", outcome["counterexample_input"])
+        if "counterexample_output" in outcome:
+            print("  ill-typed output:     ",
+                  outcome["counterexample_output"])
+    _report_audit(stats.get("audit"))
 
 
-def _audit_verdict(report, exit_code: int) -> int:
-    """Print the audit line (when one ran) and escalate a refutation.
-
-    A ``failed`` audit means the verdict cannot be trusted — exit
-    :data:`~repro.errors.EXIT_MISCOMPILED` regardless of what the engine
-    claimed.
-    """
+def _report_audit(report) -> None:
+    """Print the audit line, when one ran; a ``failed`` audit (the job
+    ends ``miscompiled``) also warns on stderr."""
     if not report:
-        return exit_code
+        return
     line = f"audit: {report.get('status')} (mode={report.get('mode')}"
     if report.get("replay_steps"):
         line += f", replay_steps={report['replay_steps']}"
@@ -239,8 +235,6 @@ def _audit_verdict(report, exit_code: int) -> int:
     if report.get("status") == "failed":
         print("MISCOMPILED: the audit refuted this verdict; "
               "do not trust it", file=sys.stderr)
-        return EXIT_MISCOMPILED
-    return exit_code
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -369,11 +363,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.runtime.service import ServiceClient
-    from repro.runtime.supervisor import (
-        _SEVERITY,
-        _STATUS_EXIT,
-        load_manifest,
-    )
+    from repro.runtime.supervisor import load_manifest
 
     client = ServiceClient(args.socket, timeout=args.timeout)
     if args.ping:
@@ -441,10 +431,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         + (f" [{summary}]" if summary else ""),
         file=sys.stderr,
     )
-    for status in _SEVERITY:
-        if status in statuses:
-            return _STATUS_EXIT[status]
-    return 0
+    return exit_code_for_statuses(statuses)
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -563,21 +550,21 @@ def build_parser() -> argparse.ArgumentParser:
                                    help="validate a document against a DTD")
     validate.add_argument("--dtd", required=True)
     validate.add_argument("document")
-    validate.set_defaults(func=_cmd_validate)
+    validate.set_defaults(func=_run_job, report=_report_validate)
 
     run = commands.add_parser("run", help="apply a stylesheet to a document")
     run.add_argument("--stylesheet", required=True)
     run.add_argument("document")
     _add_budget_arguments(run)
     _add_trace_argument(run)
-    run.set_defaults(func=_cmd_run)
+    run.set_defaults(func=_run_job, report=_report_run)
 
     check = commands.add_parser(
         "typecheck", help="statically typecheck a stylesheet (Theorem 4.4)"
     )
     check.add_argument("--input-dtd", required=True)
     check.add_argument("--output-dtd", required=True)
-    check.add_argument("--method", choices=METHODS, default="auto",
+    check.add_argument("--method", choices=METHODS, default=DEFAULT_METHOD,
                        help="decision procedure: auto routes to the "
                             "cheapest exact method (docs/algorithms.md)")
     check.add_argument("--max-inputs", type=int, default=50,
@@ -607,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_trace_argument(check)
     check.add_argument("stylesheet")
-    check.set_defaults(func=_cmd_typecheck)
+    check.set_defaults(func=_run_job, report=_report_typecheck)
 
     batch = commands.add_parser(
         "batch",
@@ -862,11 +849,6 @@ def main(argv: list[str] | None = None) -> int:
             return args.func(args)
         with tracing(tracer), tracer.span(f"cli:{args.command}"):
             return args.func(args)
-    except ResourceExhausted as error:
-        print(
-            f"error: resource budget exhausted: {error}", file=sys.stderr
-        )
-        return exit_code_for(error)
     except (ReproError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return exit_code_for(error)

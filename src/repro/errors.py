@@ -32,10 +32,12 @@ code  meaning
       ``repro submit``, the most severe job status was ``exhausted``
 4     a worker was killed or crashed: SIGKILL at a wall/RSS limit,
       a worker process that died without reporting
-      (:class:`WorkerCrashed`), or — for ``repro batch`` /
-      ``repro submit`` — any job finishing
-      ``crashed``/``timeout``/``oom``, including a submission
-      fast-failed by an open circuit breaker
+      (:class:`WorkerCrashed`), or any job finishing
+      ``crashed``/``timeout``/``oom`` — for ``repro typecheck`` /
+      ``run`` / ``validate``, an exception that is not a
+      :class:`ReproError` (reported with its traceback); for
+      ``repro submit``, also a submission fast-failed by an open
+      circuit breaker
 5     the job was **shed** — refused or abandoned by an overloaded
       daemon *without* being executed: the target worker's backlog was
       at ``--max-backlog``, the brownout controller reached its
@@ -61,9 +63,9 @@ code  meaning
       ``miscompiled``.
 ====  ==========================================================
 
-:func:`exit_code_for` implements the exception half of this table and is
-the single authority the CLI consults, so a new exception class only has
-to be slotted in here to exit consistently everywhere.
+:func:`exit_code_for` implements the exception half of this table and
+:func:`repro.runtime.jobs.exit_code_for_statuses` the job-status half,
+which every command that runs jobs exits through.
 """
 
 from __future__ import annotations

@@ -74,7 +74,12 @@ from repro.runtime.governor import (
     governed,
     make_governor,
 )
-from repro.runtime.jobs import JOB_KINDS, affinity_key, execute_job
+from repro.runtime.jobs import (
+    JOB_KINDS,
+    affinity_key,
+    execute_classified,
+    execute_job,
+)
 from repro.runtime.service import (
     ServiceClient,
     ServiceConfig,
@@ -104,7 +109,6 @@ from repro.runtime.supervisor import (
     Supervisor,
     completed_job_ids,
     completed_results,
-    execute_classified,
     load_manifest,
 )
 

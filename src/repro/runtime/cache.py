@@ -50,8 +50,8 @@ the environment) disables the table entirely for A/B runs.  Under an
 ambient tracer (:mod:`repro.runtime.trace`), every :func:`memoized`
 call additionally opens a span named after the operation — tagged
 ``cache="hit"/"miss"`` with ``fingerprint`` / ``compute`` /
-``memo-store`` sub-spans — while the untraced path stays byte-for-byte
-the original code behind one ``tracer.active`` check.
+``memo-store`` sub-spans.  Untraced, the same code runs against the
+null tracer, whose spans are no-ops.
 """
 
 from __future__ import annotations
@@ -738,11 +738,10 @@ GLOBAL_CACHE = MemoCache(
     not in ("0", "off", "false", "no")
 )
 
-#: The process-wide persistent tier, or ``None``.  Installed by the
-#: service workers (:mod:`repro.runtime.service`) with a
-#: :class:`repro.runtime.diskcache.DiskCache`; the contract is duck
-#: typed: ``get(key, default)`` and ``put(key, value)`` over the
-#: canonical string keys of :func:`memo_key`.
+#: The process-wide persistent tier, or ``None``: a
+#: :class:`repro.runtime.diskcache.DiskCache` over the canonical string
+#: keys of :func:`memo_key`, installed by pool workers that have a cache
+#: directory (``repro serve``).
 _PERSISTENT: Optional[Any] = None
 
 #: When set (see :func:`tracked_keys`), every memoized operation adds its
@@ -775,10 +774,9 @@ def quarantine_keys(
     """Evict ``keys`` from *both* memo tiers (the audit's quarantine).
 
     The in-memory entries are invalidated outright; with a persistent
-    tier installed that supports quarantine (the service workers'
-    :class:`~repro.runtime.diskcache.DiskCache`), the on-disk records are
-    tombstoned and journaled to ``quarantine.jsonl`` so no future worker
-    or daemon incarnation can re-serve them.  Returns eviction counts.
+    tier installed, its on-disk records are tombstoned and journaled to
+    ``quarantine.jsonl`` so no future worker or daemon incarnation can
+    re-serve them.  Returns eviction counts.
 
     ``purge=True`` widens the quarantine to *everything*: every
     in-memory entry and every live disk record, not just ``keys``.  Memo
@@ -798,14 +796,9 @@ def quarantine_keys(
     disk_count = 0
     if disk is not None:
         disk_keys = key_list
-        if purge and hasattr(disk, "keys"):
+        if purge:
             disk_keys = sorted(set(map(str, key_list)) | set(disk.keys()))
-        if hasattr(disk, "quarantine"):
-            disk_count = disk.quarantine(disk_keys, reason=reason)
-        elif hasattr(disk, "invalidate"):
-            disk_count = sum(
-                1 for key in disk_keys if disk.invalidate(key)
-            )
+        disk_count = disk.quarantine(disk_keys, reason=reason)
     counts = {
         "keys": len(key_list),
         "memory_evicted": memory,
@@ -817,12 +810,13 @@ def quarantine_keys(
 
 
 def install_persistent(disk: Optional[Any]) -> None:
-    """Install ``disk`` as the process-wide persistent memo tier.
+    """Install ``disk``, a :class:`~repro.runtime.diskcache.DiskCache`,
+    as the process-wide persistent memo tier.
 
     ``None`` uninstalls.  The tier is consulted on every in-memory miss
-    and written through on every store; it must be cheap to probe
-    (the disk cache keeps an in-memory index, so a persistent *miss* is
-    one dict lookup).
+    and written through on every store, and :func:`quarantine_keys`
+    tombstones its records; a persistent *miss* is one dict lookup in
+    the disk cache's in-memory index.
     """
     global _PERSISTENT
     _PERSISTENT = disk
@@ -921,31 +915,10 @@ def memoized(
     """
     cache = GLOBAL_CACHE
     tracer = current_tracer()
-    if not tracer.active:
-        if not cache.enabled:
-            return compute()
-        key = memo_key(operation, inputs, extra, exact)
-        if _TRACKED is not None:
-            _TRACKED.add(key)
-        value = cache.lookup(key)
-        if value is not MemoCache._MISS:
-            current_governor().tick()
-            return _derived(value, key)
-        disk = _PERSISTENT
-        if disk is not None:
-            value = disk.get(key, MemoCache._MISS)
-            if value is not MemoCache._MISS:
-                cache.store(key, _derived(value, key))
-                current_governor().tick()
-                return value
-        value = _derived(compute(), key)
-        cache.store(key, value)
-        if disk is not None:
-            disk.put(key, value)
-        return value
-    # Traced path: one span per memoized operation — this single hook
-    # covers the whole automata algebra (bottom-up TA boolean ops, DFA
-    # ops, regex compilation, per-level pebble compilation).
+    # one span per memoized operation — this single hook covers the
+    # whole automata algebra (bottom-up TA boolean ops, DFA ops, regex
+    # compilation, per-level pebble compilation).  Untraced, every span
+    # below is the null tracer's no-op.
     with tracer.span(operation) as span:
         if not cache.enabled:
             span.set(cache="disabled")

@@ -1,37 +1,40 @@
-"""Job-serializable entry points: run CLI-shaped work from a plain dict.
+"""Jobs: the one way from a plain job dict to a classified outcome.
 
-The supervised executor (:mod:`repro.runtime.supervisor`) ships jobs to
-worker subprocesses, so a job must be a value: a JSON-able dict naming
-the kind of work and its inputs, never a live Python object.  This
-module is the bridge between that wire format and the library — the same
-three operations the CLI exposes (``typecheck`` / ``run`` /
-``validate``), taking their inputs as file paths *or* inline text and
-returning a JSON-able outcome dict.
+A job is a value: a JSON-able dict naming the kind of work and its
+inputs, never a live Python object.  The supervised executor
+(:mod:`repro.runtime.supervisor`) ships jobs to worker processes, the
+service daemon receives them over a socket, and ``repro typecheck`` /
+``run`` / ``validate`` build one from their flags.  Every one of them
+ends in :func:`execute_classified`, which runs the job in the calling
+process and returns exactly one classified outcome dict — so the same
+job gets the same outcome whichever way it comes in.
 
 Job parameter schema (the ``params`` of a manifest entry)::
 
     typecheck: stylesheet|stylesheet_text, input_dtd|input_dtd_text,
                output_dtd|output_dtd_text, method (auto|exact|bounded;
-               defaults to exact for wire compatibility), max_inputs,
-               timeout, max_steps, max_states, fallback, audit
+               defaults to auto, like typecheck() and the CLI),
+               max_inputs, timeout, max_steps, max_states, fallback,
+               audit
     run:       stylesheet|stylesheet_text, document|document_text,
                timeout, max_steps
     validate:  dtd|dtd_text, document|document_text
 
 Every ``X`` parameter is a file path; ``X_text`` carries the content
 inline (handy for generated manifests and hermetic tests).  When both
-are given the inline text wins.
+are given the inline text wins.  A path that cannot be read is a usage
+error naming the parameter and the path.
 
 :func:`execute_job` returns ``{"status": ..., ...detail}`` where status
 is ``ok`` or ``type-error``; resource exhaustion propagates as
-:class:`~repro.errors.ResourceExhausted` (the worker classifies it
-``exhausted``), malformed inputs as the usual parse errors.
+:class:`~repro.errors.ResourceExhausted`, malformed inputs as the usual
+parse errors, and :func:`execute_classified` turns each into its status.
 
 With ``audit`` set (``"witness"``/``"full"``, or via the ``REPRO_AUDIT``
 environment variable) a typecheck job certifies its own verdict before
 reporting (:mod:`repro.audit`).  A refuted verdict is escalated to
-``status: "miscompiled"`` and — because this worker owns the memo tiers
-that fed the bad answer — the memo keys the run depended on are
+``status: "miscompiled"`` and — because this process owns the memo
+tiers that fed the bad answer — the memo keys the run depended on are
 quarantined right here, from both the in-memory table and the persistent
 disk tier, before the outcome is sent (``outcome["quarantine"]`` carries
 the eviction counts).
@@ -40,14 +43,97 @@ the eviction counts).
 from __future__ import annotations
 
 import hashlib
+import traceback
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
-from repro.errors import SupervisorError
+from repro.errors import (
+    EXIT_CRASHED,
+    EXIT_EXHAUSTED,
+    EXIT_MISCOMPILED,
+    EXIT_OK,
+    EXIT_SHED,
+    EXIT_TYPE_ERROR,
+    EXIT_USAGE,
+    FaultInjected,
+    ReproError,
+    ResourceExhausted,
+    SupervisorError,
+)
+from repro.lang import apply_stylesheet, parse_stylesheet, xslt_to_transducer
+from repro.runtime.cache import quarantine_keys
+from repro.runtime.faults import fault_point
+from repro.runtime.governor import clamp_timeout, governed, make_governor
+from repro.runtime.trace import current_tracer
+from repro.xmlio import parse_dtd_any, parse_xml, to_xml
 
-__all__ = ["JOB_KINDS", "execute_job", "affinity_key"]
+__all__ = ["JOB_KINDS", "STATUSES", "affinity_key", "execute_classified",
+           "execute_job", "exit_code_for_statuses", "typecheck_inputs"]
 
 JOB_KINDS = ("typecheck", "run", "validate")
+
+# -- outcome taxonomy --------------------------------------------------------
+
+OK = "ok"
+TYPE_ERROR = "type-error"
+USAGE_ERROR = "usage-error"
+EXHAUSTED = "exhausted"
+SHED = "shed"
+TIMEOUT = "timeout"
+OOM = "oom"
+CRASHED = "crashed"
+MISCOMPILED = "miscompiled"
+
+#: Every status a job can finish with, exactly one per job.  ``shed`` is
+#: special: workers never produce it — the service daemon's admission
+#: control answers it under load, and the retry loop once the job's
+#: deadline runs out before an attempt starts; the shed itself executes
+#: nothing (``attempts`` counts only the attempts that ran, 0 for a job
+#: refused outright), so a shed job is retryable by construction.
+#: ``timeout`` and ``oom`` at a hard limit come from the supervisor that
+#: killed the worker.  ``miscompiled`` is the audit's verdict:
+#: the job *completed* but its answer failed independent certification
+#: (:mod:`repro.audit`), which outranks every other failure — a crash is
+#: loud, a wrong answer is silent.
+STATUSES = (OK, TYPE_ERROR, USAGE_ERROR, EXHAUSTED, SHED, TIMEOUT, OOM,
+            CRASHED, MISCOMPILED)
+
+#: Map a job status to the CLI exit code it implies (worst-of for a batch).
+_STATUS_EXIT = {
+    OK: EXIT_OK,
+    TYPE_ERROR: EXIT_TYPE_ERROR,
+    USAGE_ERROR: EXIT_USAGE,
+    EXHAUSTED: EXIT_EXHAUSTED,
+    SHED: EXIT_SHED,
+    TIMEOUT: EXIT_CRASHED,
+    OOM: EXIT_CRASHED,
+    CRASHED: EXIT_CRASHED,
+    MISCOMPILED: EXIT_MISCOMPILED,
+}
+
+#: Severity order for the batch exit code (highest wins).  ``shed`` sits
+#: below the execution failures — a batch that both crashed a job and had
+#: one shed reports the crash — but above the input-classification
+#: statuses, so "the daemon refused work" is never masked by an ordinary
+#: type-error in the same batch.  ``miscompiled`` tops the order: every
+#: other failure is honest about failing, while a refuted verdict means
+#: the system *lied* and nothing downstream of it can be trusted.
+_SEVERITY = (MISCOMPILED, CRASHED, OOM, TIMEOUT, EXHAUSTED, SHED,
+             USAGE_ERROR, TYPE_ERROR, OK)
+
+
+def exit_code_for_statuses(statuses: Iterable[str]) -> int:
+    """The CLI exit code of some job statuses: the most severe wins
+    (``EXIT_OK`` for none).  ``repro typecheck|run|validate`` pass their
+    one job's status, ``repro batch`` and ``repro submit`` all of theirs.
+    """
+    seen = set(statuses)
+    for status in _SEVERITY:
+        if status in seen:
+            return _STATUS_EXIT[status]
+    return EXIT_OK
+
 
 #: Which params make two jobs of a kind share warmable automata work.
 #: For ``typecheck`` the memo-heavy constructions are driven by the two
@@ -70,7 +156,7 @@ def affinity_key(payload: Mapping) -> str:
     hashes the affinity-relevant *input text* — same DTD content, same
     key, whether it arrived inline or as a path — and degrades to the
     raw parameter value when a path cannot be read (the job itself will
-    then fail with a clean usage error on some worker).
+    then end ``usage-error`` on some worker).
     """
     kind = str(payload.get("kind", ""))
     params = payload.get("params") or {}
@@ -80,7 +166,7 @@ def affinity_key(payload: Mapping) -> str:
         for name in _AFFINITY_PARAMS.get(kind, ()):
             try:
                 text = _text_input(params, name, required=False)
-            except OSError:
+            except SupervisorError:
                 text = str(params.get(name))
             hasher.update(b"\x00")
             hasher.update((text or "").encode("utf-8", "replace"))
@@ -95,12 +181,62 @@ def _text_input(params: Mapping, name: str, required: bool = True
         return str(inline)
     path = params.get(name)
     if path is not None:
-        return Path(path).read_text()
+        try:
+            return Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as error:
+            reason = getattr(error, "strerror", None) or error
+            raise SupervisorError(
+                f"cannot read {name!r} file {str(path)!r}: {reason}"
+            ) from error
     if required:
         raise SupervisorError(
             f"job needs either {name!r} (a path) or '{name}_text' (inline)"
         )
     return None
+
+
+def execute_classified(payload: Mapping) -> dict:
+    """Run one job to exactly one classified outcome dict, in-process.
+
+    Every pool worker runs its jobs through here, and so do ``repro
+    typecheck``, ``run`` and ``validate`` — which is why a job reports
+    the identical outcome dict whichever way it came in.  ``timeout``
+    and ``oom`` at a hard limit still require *external* supervision:
+    this function only classifies what the process survives long enough
+    to raise.  ``KeyboardInterrupt`` is not an outcome; it propagates.
+    """
+    try:
+        fault_point("worker:compute", str(payload.get("fault_key", "")))
+        return execute_job(payload)
+    except ResourceExhausted as error:
+        return {
+            "status": EXHAUSTED,
+            "error": str(error),
+            "exhausted": error.progress(),
+        }
+    except MemoryError:
+        return {
+            "status": OOM,
+            "error": "worker hit its address-space backstop (MemoryError)",
+        }
+    except FaultInjected as error:
+        return {
+            "status": CRASHED,
+            "error": str(error),
+            "error_type": "FaultInjected",
+        }
+    except ReproError as error:
+        return {
+            "status": USAGE_ERROR,
+            "error": str(error),
+            "error_type": type(error).__name__,
+        }
+    except Exception as error:  # noqa: BLE001 - forensic reporting
+        return {
+            "status": CRASHED,
+            "error": repr(error),
+            "traceback": traceback.format_exc(),
+        }
 
 
 def execute_job(payload: Mapping) -> dict:
@@ -119,8 +255,6 @@ def execute_job(payload: Mapping) -> dict:
         # cooperative timeout (the params install the worker's ambient
         # governor, so this is how the deadline reaches the hot loops);
         # headroom keeps the governor firing before the hard wall kill.
-        from repro.runtime.governor import clamp_timeout
-
         params = dict(params)
         params["timeout"] = clamp_timeout(
             params.get("timeout"), float(deadline)
@@ -136,22 +270,31 @@ def execute_job(payload: Mapping) -> dict:
     )
 
 
-def _job_typecheck(params: Mapping) -> dict:
-    from repro.lang import parse_stylesheet, xslt_to_transducer
-    from repro.typecheck import typecheck
-    from repro.xmlio import parse_dtd_any
+def typecheck_inputs(params: Mapping) -> tuple:
+    """A typecheck job's ``(transducer, input_dtd, output_dtd)``: its
+    stylesheet compiled against the input DTD's element names, and both
+    DTDs parsed."""
+    with current_tracer().span("parse-inputs"):
+        sheet = parse_stylesheet(_text_input(params, "stylesheet"))
+        input_dtd = parse_dtd_any(_text_input(params, "input_dtd"))
+        output_dtd = parse_dtd_any(_text_input(params, "output_dtd"))
+        machine = xslt_to_transducer(
+            sheet, tags=input_dtd.symbols, root_tag=input_dtd.root
+        )
+    return machine, input_dtd, output_dtd
 
-    sheet = parse_stylesheet(_text_input(params, "stylesheet"))
-    input_dtd = parse_dtd_any(_text_input(params, "input_dtd"))
-    output_dtd = parse_dtd_any(_text_input(params, "output_dtd"))
-    machine = xslt_to_transducer(
-        sheet, tags=input_dtd.symbols, root_tag=input_dtd.root
-    )
+
+def _job_typecheck(params: Mapping) -> dict:
+    # imported here: the typecheck engine imports this package
+    from repro.typecheck import typecheck
+    from repro.typecheck.engine import DEFAULT_METHOD
+
+    machine, input_dtd, output_dtd = typecheck_inputs(params)
     result = typecheck(
         machine,
         input_dtd,
         output_dtd,
-        method=params.get("method", "exact"),
+        method=params.get("method", DEFAULT_METHOD),
         max_inputs=int(params.get("max_inputs", 50)),
         max_depth=int(params.get("max_depth", 6)),
         timeout=params.get("timeout"),
@@ -161,18 +304,16 @@ def _job_typecheck(params: Mapping) -> dict:
         audit=params.get("audit"),
     )
     outcome = result.to_jsonable()
-    outcome["status"] = "ok" if result.ok else "type-error"
+    outcome["status"] = OK if result.ok else TYPE_ERROR
     audit = result.stats.get("audit")
     if isinstance(audit, Mapping) and audit.get("status") == "failed":
         # The audit refuted this verdict: escalate, and quarantine both
-        # memo tiers *in this worker* (it owns them).  The purge is
+        # memo tiers *in this process* (it owns them).  The purge is
         # deliberately total — memo hits short-circuit their ancestors,
         # so the tracked keys bound what the run touched, not the
         # poisoned closure that fed it; only dropping everything
         # guarantees the resubmission recomputes from first principles.
-        from repro.runtime.cache import quarantine_keys
-
-        outcome["status"] = "miscompiled"
+        outcome["status"] = MISCOMPILED
         outcome["quarantine"] = quarantine_keys(
             audit.get("quarantine_keys") or (),
             reason=f"audit refuted a {result.method} verdict",
@@ -182,33 +323,28 @@ def _job_typecheck(params: Mapping) -> dict:
 
 
 def _job_run(params: Mapping) -> dict:
-    from repro.lang import apply_stylesheet, parse_stylesheet
-    from repro.runtime.governor import governed, make_governor
-    from repro.xmlio import parse_xml, to_xml
-
-    sheet = parse_stylesheet(_text_input(params, "stylesheet"))
-    document = parse_xml(_text_input(params, "document"))
+    tracer = current_tracer()
+    with tracer.span("parse-inputs"):
+        sheet = parse_stylesheet(_text_input(params, "stylesheet"))
+        document = parse_xml(_text_input(params, "document"))
     governor = make_governor(
         timeout=params.get("timeout"), max_steps=params.get("max_steps")
     )
-    if governor is None:
+    with tracer.span("apply-stylesheet"), (
+        nullcontext() if governor is None else governed(governor)
+    ):
         output = apply_stylesheet(sheet, document)
-    else:
-        with governed(governor):
-            output = apply_stylesheet(sheet, document)
-    return {"status": "ok", "output": to_xml(output)}
+    return {"status": OK, "output": to_xml(output)}
 
 
 def _job_validate(params: Mapping) -> dict:
-    from repro.xmlio import parse_dtd_any, parse_xml
-
     dtd = parse_dtd_any(_text_input(params, "dtd"))
     document = parse_xml(_text_input(params, "document"))
     errors = dtd.validation_errors(document)
     if not errors:
-        return {"status": "ok"}
+        return {"status": OK}
     return {
-        "status": "type-error",
+        "status": TYPE_ERROR,
         "errors": [
             {
                 "address": "/" + "/".join(str(step) for step in address),

@@ -899,10 +899,10 @@ class ServiceDaemon:
                 params["timeout"] = clamp_timeout(params.get("timeout"),
                                                   budget)
         if (pressure >= 2 and spec.kind == "typecheck"
-                and params.get("method", "exact") != "bounded"):
+                and params.get("method") != "bounded"):
             # bounded-only: the cheap falsifier tier (paper §5) for
-            # everyone until pressure subsides (covers every exact-class
-            # route — auto/exact/fast/lazy)
+            # everyone until pressure subsides (every method but bounded,
+            # named or the default)
             params["method"] = "bounded"
         if (self.config.audit != "off" and spec.kind == "typecheck"
                 and "audit" not in params):

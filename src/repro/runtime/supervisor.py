@@ -23,7 +23,10 @@ adds:
   ``ok`` / ``type-error`` / ``usage-error`` / ``exhausted`` (cooperative
   budget, with the governor's diagnostics) / ``timeout`` (SIGKILL at the
   wall limit) / ``oom`` (SIGKILL at the RSS limit, or the rlimit
-  backstop) / ``crashed`` (died without reporting).  An eighth status,
+  backstop) / ``crashed`` (died without reporting).  The worker
+  classifies what its job raises with
+  :func:`repro.runtime.jobs.execute_classified`, the function ``repro
+  typecheck`` runs in-process.  An eighth status,
   ``shed``, is produced only *without* execution: an expired
   ``deadline_ms`` before an attempt starts, or the service daemon's
   admission control refusing the job under load.
@@ -62,27 +65,32 @@ import multiprocessing
 import os
 import threading
 import time
-import traceback
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
 
-from repro.errors import (
-    EXIT_CRASHED,
-    EXIT_EXHAUSTED,
-    EXIT_MISCOMPILED,
-    EXIT_OK,
-    EXIT_SHED,
-    EXIT_TYPE_ERROR,
-    EXIT_USAGE,
-    FaultInjected,
-    ReproError,
-    ResourceExhausted,
-    SupervisorError,
-)
+from repro.errors import SupervisorError
 from repro.runtime.faults import FaultPlan, fault_point, install_plan
-from repro.runtime.jobs import JOB_KINDS, execute_job
+# the outcome taxonomy lives with the job bodies that produce it; batch
+# callers have always imported it from here, so it is re-exported
+from repro.runtime.jobs import (  # noqa: F401 - re-exports
+    CRASHED,
+    EXHAUSTED,
+    JOB_KINDS,
+    MISCOMPILED,
+    OK,
+    OOM,
+    SHED,
+    STATUSES,
+    TIMEOUT,
+    TYPE_ERROR,
+    USAGE_ERROR,
+    _SEVERITY,
+    _STATUS_EXIT,
+    execute_classified,
+    exit_code_for_statuses,
+)
 from repro.runtime.trace import NULL_TRACER, Tracer, current_tracer, tracing
 from repro.runtime.trace import _ambient as _trace_ambient
 
@@ -118,54 +126,8 @@ __all__ = [
 
 # -- outcome taxonomy --------------------------------------------------------
 
-OK = "ok"
-TYPE_ERROR = "type-error"
-USAGE_ERROR = "usage-error"
-EXHAUSTED = "exhausted"
-SHED = "shed"
-TIMEOUT = "timeout"
-OOM = "oom"
-CRASHED = "crashed"
-MISCOMPILED = "miscompiled"
-
-#: Every status a job can finish with, exactly one per job.  ``shed`` is
-#: special: workers never produce it — the service daemon's admission
-#: control answers it under load, and the retry loop once the job's
-#: deadline runs out before an attempt starts; the shed itself executes
-#: nothing (``attempts`` counts only the attempts that ran, 0 for a job
-#: refused outright), so a shed job is retryable by construction.
-#: ``miscompiled`` is the audit's verdict:
-#: the job *completed* but its answer failed independent certification
-#: (:mod:`repro.audit`), which outranks every other failure — a crash is
-#: loud, a wrong answer is silent.
-STATUSES = (OK, TYPE_ERROR, USAGE_ERROR, EXHAUSTED, SHED, TIMEOUT, OOM,
-            CRASHED, MISCOMPILED)
-
 #: Statuses caused by resource blow-ups — these trigger degradation.
 RESOURCE_FAILURES = (TIMEOUT, OOM, EXHAUSTED)
-
-#: Map a job status to the CLI exit code it implies (worst-of for a batch).
-_STATUS_EXIT = {
-    OK: EXIT_OK,
-    TYPE_ERROR: EXIT_TYPE_ERROR,
-    USAGE_ERROR: EXIT_USAGE,
-    EXHAUSTED: EXIT_EXHAUSTED,
-    SHED: EXIT_SHED,
-    TIMEOUT: EXIT_CRASHED,
-    OOM: EXIT_CRASHED,
-    CRASHED: EXIT_CRASHED,
-    MISCOMPILED: EXIT_MISCOMPILED,
-}
-
-#: Severity order for the batch exit code (highest wins).  ``shed`` sits
-#: below the execution failures — a batch that both crashed a job and had
-#: one shed reports the crash — but above the input-classification
-#: statuses, so "the daemon refused work" is never masked by an ordinary
-#: type-error in the same batch.  ``miscompiled`` tops the order: every
-#: other failure is honest about failing, while a refuted verdict means
-#: the system *lied* and nothing downstream of it can be trusted.
-_SEVERITY = (MISCOMPILED, CRASHED, OOM, TIMEOUT, EXHAUSTED, SHED,
-             USAGE_ERROR, TYPE_ERROR, OK)
 
 #: Schema tag on every result-log line.  v2 added the tag itself and the
 #: ``job_id`` field inside each ``detail.stats.cache`` delta block; v1
@@ -416,10 +378,7 @@ class BatchReport:
             status for status, count in self.resumed_by_status.items()
             if count
         )
-        for status in _SEVERITY:
-            if status in seen:
-                return _STATUS_EXIT[status]
-        return EXIT_OK
+        return exit_code_for_statuses(seen)
 
 
 # -- the worker (runs in the forked subprocess) ------------------------------
@@ -530,7 +489,10 @@ def _serve_one(payload: Mapping, disk, address_space) -> dict:
     # here kills the worker (exercising respawn), a ``delay`` wedges it
     # (exercising the wall-limit SIGKILL)
     fault_point("pool:worker-wedge", key)
-    outcome = execute_classified(payload)
+    with current_tracer().span(
+        "worker", job=str(payload.get("id", "")), pid=os.getpid()
+    ):
+        outcome = execute_classified(payload)
     if disk is not None:
         try:
             disk.flush()  # the job is the commit unit for cache segments
@@ -561,54 +523,6 @@ def _arm_backstop(rss_bytes: Optional[int], address_space) -> None:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
     except (ValueError, OSError):  # pragma: no cover
         pass
-
-
-def execute_classified(payload: Mapping) -> dict:
-    """Run one job body to exactly one classified outcome dict, in-process.
-
-    The classification half of the seven-way taxonomy, run by every pool
-    worker (:func:`_pool_worker`) — so a job reports the identical
-    outcome dict whichever door it came through.  ``timeout`` and
-    ``oom`` still require *external* supervision: this function only
-    classifies what the process survives long enough to raise.
-    """
-    key = str(payload.get("fault_key", ""))
-    try:
-        fault_point("worker:compute", key)
-        with current_tracer().span(
-            "worker", job=str(payload.get("id", "")), pid=os.getpid()
-        ):
-            outcome = execute_job(payload)
-    except ResourceExhausted as error:
-        outcome = {
-            "status": EXHAUSTED,
-            "error": str(error),
-            "exhausted": error.progress(),
-        }
-    except MemoryError:
-        outcome = {
-            "status": OOM,
-            "error": "worker hit its address-space backstop (MemoryError)",
-        }
-    except FaultInjected as error:
-        outcome = {
-            "status": CRASHED,
-            "error": str(error),
-            "error_type": "FaultInjected",
-        }
-    except ReproError as error:
-        outcome = {
-            "status": USAGE_ERROR,
-            "error": str(error),
-            "error_type": type(error).__name__,
-        }
-    except BaseException as error:  # noqa: BLE001 - forensic reporting
-        outcome = {
-            "status": CRASHED,
-            "error": repr(error),
-            "traceback": traceback.format_exc(),
-        }
-    return outcome
 
 
 def _rss_bytes(pid: int) -> Optional[int]:
@@ -1315,7 +1229,7 @@ def _degraded(
     params = dict(spec.params)
     scale = policy.budget_scale**resource_failures
     if spec.kind == "typecheck":
-        if params.get("method", "exact") != "bounded":
+        if params.get("method") != "bounded":
             params["method"] = "bounded"
             params["max_inputs"] = max(
                 1, int(params.get("max_inputs", 50) * scale)

@@ -22,7 +22,7 @@ observability layer, with zero dependencies beyond the stdlib:
   operations instrumented are whole automata constructions, never inner
   loop iterations — the disabled overhead on the E10 suite is < 2%,
   measured in ``BENCH_*.json``'s ``trace_overhead`` section).
-* :class:`MetricsRegistry` — named counters / gauges / histograms.  The
+* :class:`MetricsRegistry` — named counters and histograms.  The
   tracer feeds every closed span into per-name histograms, which back
   ``typecheck()``'s ``stats["trace"]`` summary and ``repro batch
   --metrics-out``.
@@ -70,7 +70,6 @@ __all__ = [
     "trace_env_setting",
     "MetricsRegistry",
     "Counter",
-    "Gauge",
     "Histogram",
     "iter_jsonl_records",
     "render_tree",
@@ -125,21 +124,6 @@ class Counter:
 
     def to_jsonable(self) -> dict:
         return {"type": "counter", "value": self.value}
-
-
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def to_jsonable(self) -> dict:
-        return {"type": "gauge", "value": self.value}
 
 
 class Histogram:
@@ -203,9 +187,9 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """A thread-safe, named registry of counters, gauges and histograms.
+    """A thread-safe, named registry of counters and histograms.
 
-    ``counter(name)`` / ``gauge(name)`` / ``histogram(name)`` get-or-create;
+    ``counter(name)`` / ``histogram(name)`` get-or-create;
     asking for an existing name with a different kind raises ``TypeError``
     (a registry is a schema, not a grab bag).  :meth:`snapshot` returns a
     plain JSON-able dict tagged :data:`METRICS_SCHEMA`.
@@ -230,9 +214,6 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
 
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)

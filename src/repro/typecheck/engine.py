@@ -20,6 +20,11 @@ Two engines are provided:
   complete in the limit, and fast; the practical complement to the exact
   engine, in the spirit of Section 5's "restricted cases".
 
+The default, ``method="auto"``, gives the exact engine's verdicts but
+routes each machine to the cheapest exact procedure for it
+(:mod:`repro.typecheck.routing`); ``method="exact"`` pins the pipeline
+above.
+
 Because the exact procedure is non-elementary, :func:`typecheck` also
 implements a *degradation policy*: run it under a resource governor
 (``timeout=`` / ``max_steps=`` / ``max_states=``, or an explicit
@@ -80,6 +85,10 @@ DEGRADED_METHOD = "exact" + DEGRADED_SUFFIX
 
 #: ``method`` values :func:`typecheck` accepts.
 METHODS = ("auto", "exact", "bounded")
+
+#: The ``method`` a check runs when it names none: :func:`typecheck`'s
+#: default, ``repro typecheck --method``'s and a typecheck job's alike.
+DEFAULT_METHOD = "auto"
 
 #: ``method`` values whose verdicts are exact proofs / genuine
 #: counterexamples (audit certifies these; the bounded falsifier and
@@ -237,7 +246,7 @@ def typecheck(
     transducer: PebbleTransducer,
     input_type: TypeLike,
     output_type: TypeLike,
-    method: str = "exact",
+    method: str = DEFAULT_METHOD,
     max_inputs: int = 50,
     max_depth: int = 6,
     *,
@@ -253,7 +262,7 @@ def typecheck(
     ``method`` selects the decision procedure (the full decision tree is
     documented in ``docs/algorithms.md``):
 
-    * ``"auto"`` — classify the transducer
+    * ``"auto"`` (the default) — classify the transducer
       (:func:`repro.typecheck.routing.classify`) and run the cheapest
       exact route: the polynomial ``fast-td`` checker for deterministic
       linear top-down machines, ``lazy-backward`` on-the-fly emptiness

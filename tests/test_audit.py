@@ -253,7 +253,8 @@ class TestEngineWiring:
     def test_stats_carry_the_report(self):
         machine = copy_transducer(ALPHA)
         tau1, tau2 = leaves_in({"a", "b"}), leaves_in({"a"})
-        result = typecheck(machine, tau1, tau2, audit="witness")
+        result = typecheck(machine, tau1, tau2, method="exact",
+                           audit="witness")
         audit = result.stats["audit"]
         assert audit["status"] == CERTIFIED
         assert audit["mode"] == "witness"

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import importlib
+
 import pytest
 
 from repro.cli import main
@@ -328,3 +330,37 @@ class TestAuditCommand:
         assert code == 0
         captured = capsys.readouterr()
         assert "unmatched=1" in captured.err
+
+
+class TestUnexpectedErrors:
+    """An exception that is not a ``ReproError`` is a crash of ours: it
+    exits 4, like a ``crashed`` batch job.  Ctrl-C still stops the CLI."""
+
+    def argv(self, files):
+        return ["typecheck", "--input-dtd", files["in.dtd"],
+                "--output-dtd", files["good.dtd"], files["sheet.xsl"]]
+
+    def patch_typecheck(self, monkeypatch, replacement):
+        # the package, not ``repro.typecheck``: ``repro`` re-exports the
+        # function under that name
+        package = importlib.import_module("repro.typecheck")
+        monkeypatch.setattr(package, "typecheck", replacement)
+
+    def test_unexpected_exception_exits_crashed(self, files, capsys,
+                                                monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        self.patch_typecheck(monkeypatch, boom)
+        assert main(self.argv(files)) == 4
+        err = capsys.readouterr().err
+        assert "RuntimeError('boom')" in err
+        assert "Traceback" in err
+
+    def test_keyboard_interrupt_is_not_an_outcome(self, files, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        self.patch_typecheck(monkeypatch, interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(self.argv(files))

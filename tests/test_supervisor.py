@@ -88,6 +88,44 @@ def test_malformed_input_is_usage_error():
     assert result.detail["error_type"] == "DTDError"
 
 
+def test_unreadable_input_is_usage_error_not_retried(tmp_path):
+    # a path that cannot be read is the caller's mistake, not a crash:
+    # it is not retried and does not count against the worker
+    missing = str(tmp_path / "missing.xsl")
+    params = {"stylesheet": missing, "input_dtd_text": TINY_DTD,
+              "output_dtd_text": TINY_DTD}
+    spec = JobSpec(id="tc-missing", kind="typecheck", params=params)
+    supervisor = Supervisor(retry=RetryPolicy(max_attempts=3))
+    report = supervisor.run_batch(
+        [spec], results_path=str(tmp_path / "results.jsonl")
+    )
+    (result,) = report.results
+    assert result.status == USAGE_ERROR
+    assert result.attempts == 1
+    assert "'stylesheet'" in result.detail["error"]
+    assert missing in result.detail["error"]
+    assert report.exit_code() == EXIT_USAGE
+
+    from repro.cli import main
+
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps(spec.to_dict()) + "\n")
+    assert main(["batch", str(manifest),
+                 "--results", str(tmp_path / "cli.jsonl"),
+                 "--max-attempts", "3"]) == EXIT_USAGE
+
+
+def test_affinity_key_hashes_an_unreadable_path_as_given(tmp_path):
+    from repro.runtime.jobs import affinity_key
+
+    def key(path):
+        return affinity_key({"kind": "validate", "params": {"dtd": path}})
+
+    missing = str(tmp_path / "missing.dtd")
+    assert key(missing) == key(missing)
+    assert key(missing) != key(str(tmp_path / "other.dtd"))
+
+
 def test_typecheck_job_roundtrips_verdict_and_stats():
     spec = JobSpec(
         id="tc-ok",

@@ -216,15 +216,13 @@ def test_metrics_registry():
     registry = MetricsRegistry()
     registry.counter("jobs").inc()
     registry.counter("jobs").inc(2)
-    registry.gauge("depth").set(4.0)
     for value in (1.0, 3.0, 2.0):
         registry.histogram("wall").observe(value)
     with pytest.raises(TypeError):
-        registry.gauge("jobs")
+        registry.histogram("jobs")
     snapshot = registry.snapshot()
     assert snapshot["schema"] == METRICS_SCHEMA
     assert snapshot["metrics"]["jobs"]["value"] == 3
-    assert snapshot["metrics"]["depth"]["value"] == 4.0
     wall = snapshot["metrics"]["wall"]
     assert (wall["count"], wall["min"], wall["max"]) == (3, 1.0, 3.0)
 
