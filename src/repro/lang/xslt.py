@@ -34,6 +34,7 @@ from repro.pebble.transducer import (
     PebbleTransducer,
     RuleSet,
 )
+from repro.runtime.cache import set_source_key
 from repro.runtime.governor import current_governor
 from repro.trees.alphabet import CONS, NIL, encoded_alphabet
 from repro.trees.unranked import UTree
@@ -399,9 +400,18 @@ def xslt_to_transducer(
     """Compile a stylesheet to a 1-pebble transducer on encoded trees.
 
     ``tags`` are the input element tags (each needs a template);
-    ``root_tag`` must label the document root only.
+    ``root_tag`` must label the document root only.  The compiler is
+    deterministic, so the transducer carries a source key over the
+    stylesheet, ``tags`` and ``root_tag``
+    (:func:`~repro.runtime.cache.set_source_key`): memo keys built on it
+    hash the stylesheet, not the machine.
     """
-    return _XsltCompiler(stylesheet, frozenset(tags), root_tag).compile()
+    tags = frozenset(tags)
+    machine = _XsltCompiler(stylesheet, tags, root_tag).compile()
+    return set_source_key(
+        machine, "xslt_to_transducer", (stylesheet,),
+        (tuple(sorted(tags)), root_tag),
+    )
 
 
 def q2_stylesheet() -> Stylesheet:

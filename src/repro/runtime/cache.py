@@ -24,6 +24,11 @@ on sharing.  This module provides the sharing:
   automaton records a digest of the memo key it was returned under, and
   :func:`memo_key` uses that digest in place of its fingerprint — so the
   largest values of the pipeline are never hashed structurally.
+* **Source keys** for the two front-end constructions, the compiled
+  stylesheet and the automaton of a DTD (:func:`set_source_key`): a
+  digest of the construction and its sources' fingerprints, kept in
+  the same slot, so a repeated check keys on the stylesheet and DTDs
+  it was given rather than on the automata built from them.
 * **A process-wide bounded LRU memo table** (:data:`GLOBAL_CACHE`) keyed
   on ``(operation, fingerprints, extras)``.  :func:`memoized` is the
   single entry point the algebra call sites use.  Each entry's size for
@@ -75,6 +80,7 @@ __all__ = [
     "stable_repr",
     "memoized",
     "memo_key",
+    "set_source_key",
     "cache_stats",
     "clear_cache",
     "configure_cache",
@@ -101,10 +107,11 @@ def entry_size(value: Any) -> int:
 
     Counted from the lengths of the tables the value already holds
     (states, rules, transitions), never by walking its object graph,
-    which costs about as much as fingerprinting the value: a tree
-    automaton or DFA takes a few ``len`` calls, a pebble automaton adds
-    one C-level pass summing its guards' action counts, and a witness
-    tree counts its distinct nodes.  Containers (the per-level results
+    which costs about as much as fingerprinting the value: a bottom-up
+    tree automaton or DFA takes a few ``len`` calls, a top-down or
+    pebble automaton adds one C-level pass summing its transitions'
+    target counts or its guards' action counts, and a witness tree
+    counts its distinct nodes.  Containers (the per-level results
     of :mod:`repro.pebble.to_regular`) add up their items; anything else
     counts its ``sys.getsizeof``.  The number is an estimate for the
     byte budget, not an accounting guarantee.
@@ -154,6 +161,19 @@ def _pebble_size(automaton: Any) -> int:
     )
 
 
+def _topdown_size(ta: Any) -> int:
+    return (
+        1500
+        + 300 * len(ta.states)
+        + 150 * len(ta.final)
+        + 200 * (len(ta.transitions) + len(ta.silent))
+        + 70 * (
+            sum(map(len, ta.transitions.values()))
+            + sum(map(len, ta.silent.values()))
+        )
+    )
+
+
 def _dfa_size(dfa: Any) -> int:
     return 700 + 115 * len(dfa.delta)
 
@@ -185,6 +205,7 @@ def _sizer(cls: type) -> Optional[Callable[[Any], int]]:
         pass
     # Imported lazily, like the fingerprint dispatch below.
     from repro.automata.bottom_up import BottomUpTA
+    from repro.automata.top_down import TopDownTA
     from repro.pebble.automaton import PebbleAutomaton
     from repro.regex.dfa import DFA
     from repro.trees.ranked import BTree
@@ -192,6 +213,7 @@ def _sizer(cls: type) -> Optional[Callable[[Any], int]]:
     sizer = None
     for base, candidate in (
         (BottomUpTA, _ta_size),
+        (TopDownTA, _topdown_size),
         (PebbleAutomaton, _pebble_size),
         (DFA, _dfa_size),
         (BTree, _tree_size),
@@ -363,6 +385,13 @@ def _compute_fingerprint(obj: Any, exact: bool) -> str:
         return _transducer_fingerprint(obj)
     if isinstance(obj, TopDownTA):
         return _topdown_fingerprint(obj)
+    from repro.lang.xslt import Stylesheet
+    from repro.xmlio.dtd import DTD
+
+    if isinstance(obj, DTD):
+        return _dtd_fingerprint(obj)
+    if isinstance(obj, Stylesheet):
+        return _stylesheet_fingerprint(obj)
     raise TypeError(f"no structural fingerprint for {type(obj).__name__}")
 
 
@@ -602,6 +631,26 @@ def _topdown_fingerprint(ta: Any) -> str:
         ),
     ]
     return _digest("tda", payload)
+
+
+# Sources of the front-end constructions (see set_source_key).  Both are
+# hashed with their element names as written, like a regex's symbols:
+# the automata built from them embed those names.
+
+
+def _dtd_fingerprint(dtd: Any) -> str:
+    # the content models' own fingerprints, which re.compile keys on too
+    payload = [
+        dtd.root,
+        sorted(
+            (name, fingerprint(model)) for name, model in dtd.content.items()
+        ),
+    ]
+    return _digest("dtd", payload)
+
+
+def _stylesheet_fingerprint(stylesheet: Any) -> str:
+    return _digest("xsl", stable_repr(stylesheet.templates))
 
 
 # ---------------------------------------------------------------------------
@@ -846,9 +895,11 @@ def memo_key(
     :func:`fingerprint` and :func:`stable_repr`, so it is stable across
     processes (no hash-seed dependence) and invariant under state
     renaming wherever the fingerprints are.  An input that carries a
-    derivation (a pebble automaton :func:`memoized` returned) contributes
-    that digest instead of its fingerprint; it is a digest of an earlier
-    key, so just as stable.
+    derivation contributes that digest instead of its fingerprint: a
+    pebble automaton :func:`memoized` returned carries a digest of an
+    earlier key, and a front-end construction's result its source key
+    (:func:`set_source_key`), a digest of fingerprints; both are just
+    as stable.
     """
     fps = tuple(
         getattr(value, _DERIVATION_ATTR, None)
@@ -858,6 +909,31 @@ def memo_key(
     return f"{operation}|{'|'.join(fps)}|{stable_repr(extra)}"
 
 
+def set_source_key(
+    value: Any, construction: str, sources: tuple, extra: tuple = ()
+) -> Any:
+    """Tag ``value``, just built by ``construction`` from ``sources``,
+    with its *source key*, and return it.
+
+    The key is a digest of the construction's name, the sources'
+    fingerprints and ``extra`` (the construction's other arguments).
+    It sits in the derivation slot, so :func:`memo_key` uses it in place
+    of ``value``'s fingerprint: a repeated check keys its automata on
+    the stylesheet and DTDs they came from instead of hashing them.
+    That is sound only when equal keys mean identical values, state
+    names included, in every process: ``construction`` must be
+    deterministic, and each source's fingerprint must hash names
+    exactly (those of a ``DTD`` and a ``Stylesheet`` do).  The key is
+    computed in a ``fingerprint`` span, so a trace counts it as keying.
+    """
+    with current_tracer().span("fingerprint"):
+        payload = [construction]
+        payload.extend(fingerprint(source, exact=True) for source in sources)
+        payload.append(stable_repr(extra))
+        object.__setattr__(value, _DERIVATION_ATTR, _digest("src", payload))
+    return value
+
+
 def _derived(value: Any, key: str) -> Any:
     """``value``, tagged with its derivation when it is a pebble automaton.
 
@@ -865,8 +941,9 @@ def _derived(value: Any, key: str) -> Any:
     returned under.  :func:`memo_key` keys on it in place of the
     structural fingerprint, which for a product automaton costs more
     than building it.  That is sound because every operation returning a
-    pebble automaton keys only on fingerprints that include state names
-    (``pebble.product`` on its transducer and type automaton,
+    pebble automaton keys only on fingerprints that include state names,
+    or on keys that stand in for them (``pebble.product`` on its
+    transducer, or that transducer's source key, and its type automaton;
     ``pebble.trim-quotient`` on a pebble automaton): equal keys mean
     identical automata, state names included.  An operation that keys a
     pebble automaton result on a renaming-invariant fingerprint would

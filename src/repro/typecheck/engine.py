@@ -58,7 +58,12 @@ from repro.pebble.output_automaton import output_language
 from repro.pebble.product import transducer_times_automaton
 from repro.pebble.to_regular import pebble_automaton_to_ta
 from repro.pebble.transducer import PebbleTransducer
-from repro.runtime.cache import cache_stats, tracked_keys
+from repro.runtime.cache import (
+    cache_stats,
+    memoized,
+    set_source_key,
+    tracked_keys,
+)
 from repro.runtime.governor import (
     ResourceGovernor,
     current_governor,
@@ -162,7 +167,12 @@ def as_automaton(
     type_like: TypeLike, alphabet: Optional[RankedAlphabet] = None
 ) -> BottomUpTA:
     """Coerce a type-like object to a bottom-up automaton, widened to
-    ``alphabet`` when given (symbols outside the type are rejected)."""
+    ``alphabet`` when given (symbols outside the type are rejected).
+
+    The construction from a ``DTD`` is deterministic, so its automaton
+    carries a source key over the DTD and the automaton's alphabet
+    (:func:`~repro.runtime.cache.set_source_key`): memo keys built on
+    it hash the DTD, not the automaton."""
     if isinstance(type_like, DTD):
         automaton = dtd_to_automaton(type_like)
     elif isinstance(type_like, SpecializedDTD):
@@ -174,18 +184,24 @@ def as_automaton(
             f"cannot interpret {type_like!r} as a type; expected a "
             f"BottomUpTA, DTD, or SpecializedDTD"
         )
-    if alphabet is None or alphabet.symbols <= automaton.alphabet.symbols:
-        return automaton
-    # widen the alphabet: symbols without rules are simply rejected, which
-    # is the right semantics for a type over a sub-alphabet.
-    widened = automaton.alphabet.union(alphabet)
-    return BottomUpTA(
-        alphabet=widened,
-        states=automaton.states,
-        leaf_rules=automaton.leaf_rules,
-        rules=automaton.rules,
-        accepting=automaton.accepting,
-    )
+    if alphabet is not None \
+            and not alphabet.symbols <= automaton.alphabet.symbols:
+        # widen the alphabet: symbols without rules are simply rejected,
+        # which is the right semantics for a type over a sub-alphabet.
+        automaton = BottomUpTA(
+            alphabet=automaton.alphabet.union(alphabet),
+            states=automaton.states,
+            leaf_rules=automaton.leaf_rules,
+            rules=automaton.rules,
+            accepting=automaton.accepting,
+        )
+    if isinstance(type_like, DTD):
+        set_source_key(
+            automaton, "dtd_to_automaton", (type_like,),
+            (sorted(automaton.alphabet.leaves),
+             sorted(automaton.alphabet.internals)),
+        )
+    return automaton
 
 
 def inverse_type(
@@ -218,7 +234,12 @@ def complement_output_type(
     form of its complement (Theorem 4.4, step 1).
 
     A check keeps the coerced ``tau2`` for its witness phase, so it
-    builds the automaton from a DTD and fingerprints it once.
+    builds the automaton from a DTD once.  Complement, trim and the
+    top-down conversion are one memoized op, ``type.complement-output``,
+    keyed on ``tau2`` (by its source key when it came from a DTD): a
+    repeated check gets back the very top-down automaton it used
+    before, whose fingerprint is cached on it, so keying the Prop 4.6
+    product on it hashes nothing.
     """
     governor = current_governor()
     tracer = current_tracer()
@@ -226,10 +247,17 @@ def complement_output_type(
             tracer.span("complement-output-type"):
         with tracer.span("coerce-output-type"):
             tau2 = as_automaton(output_type, transducer.output_alphabet)
-        complemented = tau2.complemented().trimmed()
-        with tracer.span("bu-to-td"):
-            not_tau2 = bu_to_td(complemented)
+        not_tau2 = memoized(
+            "type.complement-output", (tau2,),
+            lambda: _top_down_complement(tau2),
+        )
     return tau2, not_tau2
+
+
+def _top_down_complement(tau2: BottomUpTA) -> TopDownTA:
+    complemented = tau2.complemented().trimmed()
+    with current_tracer().span("bu-to-td"):
+        return bu_to_td(complemented)
 
 
 def _bad_inputs(

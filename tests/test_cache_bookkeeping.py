@@ -4,6 +4,11 @@
   carries a digest of its memo key, and keys built on it never hash it
   structurally again; the digest still tells apart transducers that
   differ only in state names.
+* **Source keys.**  A compiled stylesheet and the automaton of a DTD
+  carry a digest of the construction and its sources, so a warm repeat
+  of a check recompiled from its texts hashes the parsed stylesheet and
+  DTDs, never the automata built from them; any change to a source or
+  argument changes the key, and ``fingerprint()`` itself is unchanged.
 * **Entry sizes** come from table lengths.  The deep ``sys.getsizeof``
   walk they replaced is kept here as the reference they must stay
   within 0.5x-2x of, and the byte budget still evicts.
@@ -18,11 +23,13 @@ import sys
 
 import pytest
 
+from repro.automata import BottomUpTA
 from repro.lang import (
     Apply,
     Out,
     Stylesheet,
     Template,
+    parse_stylesheet,
     q2_stylesheet,
     xslt_to_transducer,
 )
@@ -43,14 +50,16 @@ from repro.runtime.cache import (
     cache_disabled,
     clear_cache,
     entry_size,
+    fingerprint,
     memo_key,
     tracked_keys,
 )
+from repro.runtime.governor import current_governor
 from repro.runtime.trace import Tracer, tracing
-from repro.trees import BTree, encoded_alphabet
+from repro.trees import BTree, RankedAlphabet, encoded_alphabet
 from repro.typecheck import typecheck
-from repro.typecheck.engine import complement_output_type
-from repro.xmlio import parse_dtd
+from repro.typecheck.engine import as_automaton, complement_output_type
+from repro.xmlio import SpecializedDTD, parse_dtd
 
 WRAP_IN = "doc := sec*\nsec := par*\npar :="
 WRAP_OK = "D := S*\nS := P*\nP :="
@@ -108,8 +117,9 @@ def _renamed(machine: PebbleTransducer, tag: str) -> PebbleTransducer:
     )
 
 
-def _derivation(automaton) -> str:
-    return getattr(automaton, "_repro_derivation")
+def _derivation(value):
+    """The derivation slot: a derivation or source key, or ``None``."""
+    return getattr(value, "_repro_derivation", None)
 
 
 class TestDerivationKeys:
@@ -147,6 +157,152 @@ class TestDerivationKeys:
             != memo_key("pebble.to_regular", (two,))
 
 
+WRAP_SHEET = (
+    '<xsl:template match="doc"><D><xsl:apply-templates/></D>'
+    "</xsl:template>"
+    '<xsl:template match="sec"><S><xsl:apply-templates/></S>'
+    "</xsl:template>"
+    '<xsl:template match="par"><P/></xsl:template>'
+)
+FILTER_SHEET = (
+    '<xsl:template match="doc"><out><xsl:apply-templates/></out>'
+    "</xsl:template>"
+    '<xsl:template match="item"><thing/></xsl:template>'
+)
+Q2_SHEET = (
+    '<xsl:template match="root"><result><b/><xsl:apply-patterns/><b/>'
+    "<xsl:apply-patterns/><b/><xsl:apply-patterns/></result>"
+    "</xsl:template>"
+    '<xsl:template match="a"><a/></xsl:template>'
+)
+
+#: Stylesheet jobs as texts: stylesheet, input DTD, output DTD, and
+#: whether the check passes.
+SHEET_JOBS = {
+    "filter-ok": (FILTER_SHEET, "doc := item*\nitem :=",
+                  "out := thing*\nthing :=", True),
+    "filter-bad": (FILTER_SHEET, "doc := item*\nitem :=",
+                   "out := thing+\nthing :=", False),
+    "wrap-ok": (WRAP_SHEET, WRAP_IN, WRAP_OK, True),
+    "wrap-bad": (WRAP_SHEET, WRAP_IN, WRAP_BAD, False),
+    "q2-good": (Q2_SHEET, "root := a*\na :=",
+                "result := b.a*.b.a*.b.a*\na :=\nb :=", True),
+    "q2-tight": (Q2_SHEET, "root := a*\na :=",
+                 "result := b.a*.b.a*.b\na :=\nb :=", False),
+}
+
+
+def _from_texts(job: str) -> tuple:
+    """The stylesheet job ``job`` parsed and compiled from its texts,
+    as the CLI does."""
+    sheet, input_dtd, output_dtd, _ = SHEET_JOBS[job]
+    tau1 = parse_dtd(input_dtd)
+    machine = xslt_to_transducer(parse_stylesheet(sheet), tags=tau1.symbols,
+                                 root_tag=tau1.root)
+    return machine, tau1, parse_dtd(output_dtd)
+
+
+class TestSourceKeys:
+    @pytest.mark.parametrize("job", sorted(SHEET_JOBS))
+    def test_warm_repeat_hashes_no_automaton(self, monkeypatch, job):
+        passes = SHEET_JOBS[job][-1]
+        typecheck(*_from_texts(job))
+        seen: list = []
+        compute = cache_module._compute_fingerprint
+
+        def spy(obj, exact):
+            seen.append((type(obj).__name__,
+                         current_governor().current_phase))
+            return compute(obj, exact)
+
+        monkeypatch.setattr(cache_module, "_compute_fingerprint", spy)
+        # a step budget installs a governor, whose phase says where
+        # each fingerprint was taken
+        result = typecheck(*_from_texts(job), max_steps=10**9)
+        assert result.ok is passes
+        kinds = {kind for kind, _ in seen}
+        assert not kinds & {"PebbleTransducer", "TopDownTA",
+                            "PebbleAutomaton"}, seen
+        phases = {phase for kind, phase in seen if kind == "BottomUpTA"}
+        assert phases <= (set() if passes else {"witness"}), seen
+
+    def test_warm_repeat_hits_the_complement_output_op(self):
+        typecheck(*_wrap_job(WRAP_OK))
+        tracer = Tracer()
+        with tracing(tracer):
+            typecheck(*_wrap_job(WRAP_OK))
+        (op,) = _spans(tracer.root, "type.complement-output")
+        assert op.attrs["cache"] == "hit"
+        assert not list(_spans(tracer.root, "bu-to-td"))
+
+    def test_same_texts_give_equal_keys(self):
+        one, two = _from_texts("wrap-ok"), _from_texts("wrap-ok")
+        assert one[0] is not two[0]
+        assert _derivation(one[0]) == _derivation(two[0])
+        assert _derivation(one[0]).startswith("src:")
+        for left, right in zip(one[1:], two[1:]):
+            assert _derivation(as_automaton(left)) \
+                == _derivation(as_automaton(right))
+        assert memo_key("pebble.product", (one[0], one[1])) \
+            == memo_key("pebble.product", (two[0], two[1]))
+
+    def test_any_change_to_a_source_changes_the_key(self):
+        sheet = WRAP_SHEET + '<xsl:template match="note"><P/></xsl:template>'
+        tags = {"doc", "sec", "par"}
+
+        def key(text=sheet, tags=tags, root_tag="doc"):
+            machine = xslt_to_transducer(parse_stylesheet(text), tags=tags,
+                                         root_tag=root_tag)
+            return _derivation(machine)
+
+        base = key()
+        assert base == key()
+        assert key(sheet.replace("<P/>", "<S/>", 1)) != base  # one body
+        assert key(tags=tags | {"note"}) != base
+        assert key(root_tag="sec") != base
+
+        def dtd_key(text, alphabet=None):
+            return _derivation(as_automaton(parse_dtd(text), alphabet))
+
+        assert dtd_key(WRAP_OK) == dtd_key(WRAP_OK)
+        assert dtd_key(WRAP_BAD) != dtd_key(WRAP_OK)  # one content model
+        wider = encoded_alphabet({"D", "S", "P", "X"})
+        assert dtd_key(WRAP_OK, wider) != dtd_key(WRAP_OK)
+
+    def test_other_constructions_carry_no_source_key(self):
+        assert _derivation(copy_transducer(encoded_alphabet({"a"}))) is None
+        alphabet = RankedAlphabet(leaves={"x"}, internals={"f"})
+        hand_built = BottomUpTA(
+            alphabet=alphabet, states={"q"}, leaf_rules={"x": {"q"}},
+            rules={("f", "q", "q"): {"q"}}, accepting={"q"},
+        )
+        wider = RankedAlphabet(leaves={"x", "y"}, internals={"f"})
+        for automaton in (
+            hand_built,
+            as_automaton(hand_built),
+            as_automaton(hand_built, wider),
+            as_automaton(SpecializedDTD.from_dtd(parse_dtd(WRAP_OK))),
+        ):
+            assert _derivation(automaton) is None
+            assert memo_key("ta.trimmed", (automaton,)).startswith(
+                "ta.trimmed|ta:"
+            )
+
+    def test_fingerprints_are_unchanged(self):
+        machine = _wrap_machine()
+        tau1 = as_automaton(parse_dtd(WRAP_IN), machine.input_alphabet)
+        tau2 = as_automaton(parse_dtd(WRAP_OK), machine.output_alphabet)
+        assert all(map(_derivation, (machine, tau1, tau2)))
+        # the structural digests, as pinned before source keys existed
+        assert fingerprint(machine) == "pt:698c507d448579e3d920059148f1242e"
+        assert fingerprint(tau1) == "ta:90d36b977c6efa86c0cc15002b24a8d4"
+        assert fingerprint(tau1, exact=True) \
+            == "ta!:c428dfca259d5ece51cff45ddfcbceb9"
+        assert fingerprint(tau2) == "ta:ba19a886d7450a82385f4adcf2e12a25"
+        assert fingerprint(tau2, exact=True) \
+            == "ta!:17b8d8b7ef09b69e501691cd64a35a85"
+
+
 def _deep_size(value) -> int:
     """Deep ``sys.getsizeof`` of ``value`` with shared objects counted
     once: how the memo table sized its entries before it counted table
@@ -172,10 +328,12 @@ def _deep_size(value) -> int:
 
 def _pipeline_values(machine, tau1, tau2) -> dict:
     """The values a check stores, each sized right after it is built (as
-    the memo table does): product, walking automaton, summary."""
+    the memo table does): the top-down form of ¬τ2, product, walking
+    automaton, summary."""
     _, not_tau2 = complement_output_type(machine, tau2)
+    sizes = {"not_tau2": (entry_size(not_tau2), _deep_size(not_tau2))}
     product = transducer_times_automaton(machine, not_tau2)
-    sizes = {"product": (entry_size(product), _deep_size(product))}
+    sizes["product"] = (entry_size(product), _deep_size(product))
     walking = trim_quotient(product)
     sizes["walking"] = (entry_size(walking), _deep_size(walking))
     summary = walking_automaton_to_ta(walking)

@@ -302,6 +302,9 @@ _KEY_SCRIPT = textwrap.dedent(
     )
     product = transducer_times_automaton(machine, not_tau2)
     print(memo_key("pebble.to_regular", (product,)))
+
+    # a key on the compiled machine: it carries a source key
+    print(memo_key("pebble.product", (machine, not_tau2)))
     """
 )
 
@@ -320,6 +323,10 @@ def test_memo_keys_are_stable_across_hash_seeds():
     lines = outputs[0].splitlines()
     assert "frozenset" not in lines[1]
     assert lines[2].startswith("pebble.to_regular|drv:")
+    # the source key stands in for the machine; the type automaton keeps
+    # its pinned structural digest
+    assert lines[3].startswith("pebble.product|src:")
+    assert lines[3].split("|")[2] == "tda:aa18570aa2cc80dcf27b8eaed56b31ba"
 
 
 def test_stable_repr_orders_sets_and_dicts():
