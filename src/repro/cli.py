@@ -214,6 +214,9 @@ def _report_typecheck(args: argparse.Namespace, outcome: dict) -> None:
         if "counterexample_output" in outcome:
             print("  ill-typed output:     ",
                   outcome["counterexample_output"])
+        diagnosis = stats.get("diagnosis")
+        if diagnosis:
+            print(f"    at {diagnosis['path']}: {diagnosis['message']}")
     _report_audit(stats.get("audit"))
 
 

@@ -400,11 +400,13 @@ def xslt_to_transducer(
     """Compile a stylesheet to a 1-pebble transducer on encoded trees.
 
     ``tags`` are the input element tags (each needs a template);
-    ``root_tag`` must label the document root only.  The compiler is
-    deterministic, so the transducer carries a source key over the
-    stylesheet, ``tags`` and ``root_tag``
-    (:func:`~repro.runtime.cache.set_source_key`): memo keys built on it
-    hash the stylesheet, not the machine.
+    ``root_tag`` must label the document root only: below the root,
+    its template's list ends the output as if at the document root,
+    dropping that node's later siblings.  The compiler is deterministic,
+    so the transducer carries a source key over the stylesheet, ``tags``
+    and ``root_tag`` (:func:`~repro.runtime.cache.set_source_key`): memo
+    keys built on it hash the stylesheet, not the machine, and
+    :func:`~repro.runtime.cache.source_of` gives all three back.
     """
     tags = frozenset(tags)
     machine = _XsltCompiler(stylesheet, tags, root_tag).compile()

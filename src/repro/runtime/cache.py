@@ -28,7 +28,9 @@ on sharing.  This module provides the sharing:
   stylesheet and the automaton of a DTD (:func:`set_source_key`): a
   digest of the construction and its sources' fingerprints, kept in
   the same slot, so a repeated check keys on the stylesheet and DTDs
-  it was given rather than on the automata built from them.
+  it was given rather than on the automata built from them.  The key
+  also remembers those sources (:func:`source_of`), so a route can
+  reason about a compiled stylesheet as the stylesheet it came from.
 * **A process-wide bounded LRU memo table** (:data:`GLOBAL_CACHE`) keyed
   on ``(operation, fingerprints, extras)``.  :func:`memoized` is the
   single entry point the algebra call sites use.  Each entry's size for
@@ -81,6 +83,7 @@ __all__ = [
     "memoized",
     "memo_key",
     "set_source_key",
+    "source_of",
     "cache_stats",
     "clear_cache",
     "configure_cache",
@@ -930,8 +933,26 @@ def set_source_key(
         payload = [construction]
         payload.extend(fingerprint(source, exact=True) for source in sources)
         payload.append(stable_repr(extra))
-        object.__setattr__(value, _DERIVATION_ATTR, _digest("src", payload))
+        key = SourceKey(_digest("src", payload))
+    key.construction, key.sources, key.extra = construction, sources, extra
+    object.__setattr__(value, _DERIVATION_ATTR, key)
     return value
+
+
+class SourceKey(str):
+    """A source key (:func:`set_source_key`): the digest itself, plus
+    the ``construction``, ``sources`` and ``extra`` it was taken over."""
+
+    construction: str
+    sources: tuple
+    extra: tuple
+
+
+def source_of(value: Any) -> Optional[SourceKey]:
+    """The source key ``value`` was tagged with by
+    :func:`set_source_key`, or ``None`` when it has none."""
+    key = getattr(value, _DERIVATION_ATTR, None)
+    return key if isinstance(key, SourceKey) else None
 
 
 def _derived(value: Any, key: str) -> Any:

@@ -57,6 +57,7 @@ from repro.errors import (
     EXIT_TYPE_ERROR,
     EXIT_USAGE,
     FaultInjected,
+    PebbleMachineError,
     ReproError,
     ResourceExhausted,
     SupervisorError,
@@ -273,11 +274,26 @@ def execute_job(payload: Mapping) -> dict:
 def typecheck_inputs(params: Mapping) -> tuple:
     """A typecheck job's ``(transducer, input_dtd, output_dtd)``: its
     stylesheet compiled against the input DTD's element names, and both
-    DTDs parsed."""
+    DTDs parsed.
+
+    The input DTD's root is the stylesheet's root tag, which must label
+    the document root only; an input DTD that lets it occur below the
+    root is refused (:class:`~repro.errors.PebbleMachineError`, a usage
+    error), since the compiled machine would drop that node's later
+    siblings."""
+    # imported here: the typecheck engine imports this package
+    from repro.typecheck.stylesheet import root_recurs
+
     with current_tracer().span("parse-inputs"):
         sheet = parse_stylesheet(_text_input(params, "stylesheet"))
         input_dtd = parse_dtd_any(_text_input(params, "input_dtd"))
         output_dtd = parse_dtd_any(_text_input(params, "output_dtd"))
+        if root_recurs(input_dtd):
+            raise PebbleMachineError(
+                f"the input DTD lets its root element {input_dtd.root!r} "
+                "occur below the root, but a stylesheet's root tag must "
+                "label the document root only"
+            )
         machine = xslt_to_transducer(
             sheet, tags=input_dtd.symbols, root_tag=input_dtd.root
         )

@@ -14,6 +14,7 @@ from repro.typecheck.routing import (
     typecheck_fast,
     typecheck_lazy,
 )
+from repro.typecheck.stylesheet import typecheck_stylesheet
 from repro.typecheck.forward import (
     ForwardResult,
     approximate_image,
@@ -36,6 +37,7 @@ __all__ = [
     "classify",
     "typecheck_fast",
     "typecheck_lazy",
+    "typecheck_stylesheet",
     "ForwardResult",
     "approximate_image",
     "typecheck_forward",

@@ -98,7 +98,7 @@ DEFAULT_METHOD = "auto"
 #: ``method`` values whose verdicts are exact proofs / genuine
 #: counterexamples (audit certifies these; the bounded falsifier and
 #: degraded results are not in this set).
-EXACT_METHODS = frozenset({"exact", "fast-td", "lazy-backward"})
+EXACT_METHODS = frozenset({"exact", "fast-td", "lazy-backward", "stylesheet"})
 
 _BOUNDED_CAVEAT = (
     "ok=True from the bounded falsifier only means no counterexample was "
@@ -290,23 +290,29 @@ def typecheck(
     ``method`` selects the decision procedure (the full decision tree is
     documented in ``docs/algorithms.md``):
 
-    * ``"auto"`` (the default) — classify the transducer
+    * ``"auto"`` (the default) — classify the transducer and types
       (:func:`repro.typecheck.routing.classify`) and run the cheapest
-      exact route: the polynomial ``fast-td`` checker for deterministic
-      linear top-down machines, ``lazy-backward`` on-the-fly emptiness
-      for other one-pebble machines, the Theorem 4.4 pipeline otherwise.
+      exact route: the ``stylesheet`` content-model fixpoint for a
+      compiled stylesheet between two DTDs, the polynomial ``fast-td``
+      checker for deterministic linear top-down machines,
+      ``lazy-backward`` on-the-fly emptiness for other one-pebble
+      machines, the Theorem 4.4 pipeline otherwise.
       The route actually taken is the result's ``method`` and its
       rationale lands in ``stats["routing"]``.
     * ``"exact"`` — the Theorem 4.4 decision procedure, unconditionally
       (no classification).  To force one of the other routes, call
-      :func:`~repro.typecheck.routing.typecheck_fast` or
-      :func:`~repro.typecheck.routing.typecheck_lazy` directly.
+      :func:`~repro.typecheck.routing.typecheck_fast`,
+      :func:`~repro.typecheck.routing.typecheck_lazy` or
+      :func:`~repro.typecheck.stylesheet.typecheck_stylesheet` directly.
     * ``"bounded"`` — enumerate up to ``max_inputs`` instances of the
       input type and check each (a sound falsifier, not a proof).
 
     Every route except ``"bounded"`` is exact: ``ok=True`` is a proof
     and counterexamples are genuine (``EXACT_METHODS`` lists the
-    result-``method`` values with this property).
+    result-``method`` values with this property).  When ``output_type``
+    is a DTD, a ``type-error`` result's ``stats["diagnosis"]`` locates
+    the first node of the ill-typed output that breaks it
+    (:func:`diagnose`).
 
     Resource governance (the procedure is non-elementary, Theorem 4.8):
 
@@ -368,6 +374,14 @@ def typecheck(
                 timeout=timeout, max_steps=max_steps, max_states=max_states,
                 fallback=fallback, governor=governor,
             )
+        if not result.ok and isinstance(output_type, DTD) \
+                and result.counterexample_output is not None:
+            # reporting, not deciding: charged to a governor of its own,
+            # so no budget can turn a found type error into exhaustion
+            with governed(ResourceGovernor()):
+                result.stats["diagnosis"] = diagnose(
+                    output_type, result.counterexample_output
+                )
         if audit_mode != "off":
             from repro.audit import FAILED, audit_result
 
@@ -406,6 +420,38 @@ def typecheck(
     if tracer.active:
         result.stats["trace"] = summarize(span)
     return result
+
+
+def diagnose(dtd: DTD, output: BTree) -> Optional[dict]:
+    """Where the encoded document ``output`` breaks ``dtd``: its first
+    validation error (:meth:`~repro.xmlio.dtd.DTD.validation_errors`)
+    as the offending node's ``path``, ``element``, ``content_model``
+    (``None`` for an undeclared element) and ``children`` word, plus
+    the validator's ``message``.  ``None`` when ``output`` is valid."""
+    from repro.trees.encoding import decode
+
+    document = decode(output)
+    errors = dtd.validation_errors(document)
+    if not errors:
+        return None
+    address, message = errors[0]
+    node = document
+    path = "/" + node.label
+    for index in address:
+        siblings = node.children
+        node = siblings[index]
+        position = 1 + sum(
+            sibling.label == node.label for sibling in siblings[:index]
+        )
+        path += f"/{node.label}[{position}]"
+    model = dtd.content.get(node.label)
+    return {
+        "path": path,
+        "element": node.label,
+        "content_model": None if model is None else str(model),
+        "children": ".".join(child.label for child in node.children),
+        "message": message,
+    }
 
 
 @contextmanager
@@ -459,7 +505,7 @@ def _typecheck_dispatch(
     route = method
     if method == "auto":
         with tracer.span("route:classify"):
-            decision = routing.classify(transducer)
+            decision = routing.classify(transducer, input_type, output_type)
         route = decision.route
     if route == "bounded":
         span_name, run = "bounded", bounded
@@ -469,6 +515,9 @@ def _typecheck_dispatch(
             routing.FAST_TD: (routing.typecheck_fast, "route:fast-td"),
             routing.LAZY_BACKWARD: (
                 routing.typecheck_lazy, "route:lazy-backward"
+            ),
+            routing.STYLESHEET: (
+                routing.typecheck_stylesheet, "route:stylesheet"
             ),
         }[route]
 
@@ -503,11 +552,12 @@ def _typecheck_dispatch(
 def route_verdict(
     route: str,
     transducer: PebbleTransducer,
-    tau2: BottomUpTA,
+    tau2: Optional[BottomUpTA],
     stats: dict,
     started: float,
     governor: Optional[ResourceGovernor],
     search: Callable[[], Optional[BTree]],
+    output: Optional[Callable[[BTree], Optional[BTree]]] = None,
 ) -> TypecheckResult:
     """The result of an exact-class ``route``, assembled alike for all.
 
@@ -515,8 +565,9 @@ def route_verdict(
     goes first, and the ``budget`` spent so far last when the call
     installed ``governor``.  Then, in the ``witness`` phase, ``search()``
     returns the counterexample input (``None``: the check passes), and
-    the output automaton on it (Proposition 3.8) intersected with
-    ``¬tau2`` gives the ill-typed output.
+    ``output(witness)`` its ill-typed output.  A route that knows that
+    output passes ``output``; by default the output automaton on the
+    witness (Proposition 3.8) intersected with ``¬tau2`` gives it.
     """
     stats = {"seconds": time.perf_counter() - started, **stats}
     if governor is not None:
@@ -530,11 +581,12 @@ def route_verdict(
         witness = search()
         if witness is None:
             return TypecheckResult(ok=True, method=route, stats=stats)
-        bad_output = (
-            output_language(transducer, witness)
-            .intersection(tau2.complemented())
-            .witness()
-        )
+        if output is None:
+            bad_output = _outputs_outside(
+                transducer, witness, tau2.complemented()
+            ).witness()
+        else:
+            bad_output = output(witness)
     return TypecheckResult(
         ok=False,
         method=route,
@@ -542,6 +594,19 @@ def route_verdict(
         counterexample_output=bad_output,
         stats=stats,
     )
+
+
+def _outputs_outside(
+    transducer: PebbleTransducer, tree: BTree, not_tau2: BottomUpTA
+) -> BottomUpTA:
+    """The outputs of ``transducer`` on ``tree`` (Proposition 3.8) that
+    ``not_tau2`` accepts.  The output automaton is widened to
+    ``not_tau2``'s alphabet first: ``tau2`` may declare elements the
+    machine never emits."""
+    outputs = as_automaton(
+        output_language(transducer, tree), not_tau2.alphabet
+    )
+    return outputs.intersection(not_tau2)
 
 
 def _typecheck_exact(
@@ -637,10 +702,7 @@ def _typecheck_bounded(
                 break
             checked += 1
             governor.tick()
-            bad_outputs = output_language(transducer, tree).intersection(
-                not_tau2
-            )
-            witness = bad_outputs.witness()
+            witness = _outputs_outside(transducer, tree, not_tau2).witness()
             if witness is not None:
                 return TypecheckResult(
                     ok=False,

@@ -2,8 +2,11 @@
 
 The exact Theorem 4.4 pipeline is non-elementary (Theorem 4.8), but most
 realistic transformations never need it.  This module implements the
-two grounded fast paths named in ROADMAP.md and documented in
-``docs/algorithms.md``:
+grounded fast paths documented in ``docs/algorithms.md``:
+
+* **stylesheet** — a compiled XSLT stylesheet checked between two DTDs
+  is decided on the stylesheet itself, by a fixpoint over the DTDs'
+  content models (:mod:`repro.typecheck.stylesheet`).
 
 * **fast-td** — Martens–Neven–Gyssens ("On Typechecking Top-Down XML
   Transformations: Fixed Input or Output Schemas", PAPERS.md) show that
@@ -28,7 +31,7 @@ two grounded fast paths named in ROADMAP.md and documented in
   stops at the first offending tree.  Applicable to every one-pebble
   transducer.
 
-Both routes are *exact*: an ``ok`` is a proof, a counterexample is
+All routes are *exact*: an ``ok`` is a proof, a counterexample is
 genuine, and the audit layer certifies their verdicts exactly like the
 Theorem 4.4 pipeline's.  Route selection lives in
 :func:`repro.typecheck.engine.typecheck` (``method="auto"``); the
@@ -57,6 +60,12 @@ from repro.typecheck.engine import (
     complement_output_type,
     route_verdict,
 )
+from repro.typecheck.stylesheet import (
+    STYLESHEET,
+    decline_reasons,
+    stylesheet_of,
+    typecheck_stylesheet,
+)
 
 #: Route names, as reported in ``result.method`` and trace spans.
 FAST_TD = "fast-td"
@@ -73,8 +82,9 @@ class RouteDecision:
     """The classifier's verdict on a transducer.
 
     ``route`` is the route ``method="auto"`` takes; ``reasons``
-    explains, in order of detection, why the fast top-down fragment was
-    declined (empty when eligible).
+    explains, in order of detection, why the cheaper routes were
+    declined: the stylesheet route for a compiled stylesheet, then the
+    fast top-down fragment (empty when eligible).
     """
 
     route: str
@@ -84,25 +94,43 @@ class RouteDecision:
         return {"route": self.route, "reasons": list(self.reasons)}
 
 
-def classify(transducer: PebbleTransducer) -> RouteDecision:
-    """Structurally classify ``transducer`` into the cheapest sound route.
+def classify(
+    transducer: PebbleTransducer, input_type=None, output_type=None
+) -> RouteDecision:
+    """Classify ``transducer`` into the cheapest sound route.
 
     The decision tree (documented with complexity bounds in
     ``docs/algorithms.md``):
 
-    1. more than one pebble → ``exact`` (only the Theorem 4.7
+    1. a compiled stylesheet between the two DTDs ``input_type`` and
+       ``output_type`` (:func:`~repro.typecheck.stylesheet.decline_reasons`
+       lists the conditions) → ``stylesheet``;
+    2. more than one pebble → ``exact`` (only the Theorem 4.7
        quantifier-block construction handles extra pebbles);
-    2. one pebble but nondeterministic, walking back up, or with a
+    3. one pebble but nondeterministic, walking back up, or with a
        cyclic or copying per-node expansion → ``lazy-backward``;
-    3. otherwise (deterministic, purely top-down, linear) → ``fast-td``.
+    4. otherwise (deterministic, purely top-down, linear) → ``fast-td``.
 
-    Purely syntactic: O(rules) with no automaton construction, so it is
-    safe to run on every ``method="auto"`` call.
+    Without the types, step 1 is skipped.  Every step is syntactic:
+    steps 2-4 read the rule table, O(rules), and step 1 the stylesheet's
+    source key and the input DTD's content models.  No automaton is
+    built, so it is safe to run on every ``method="auto"`` call.
     """
+    declined: tuple[str, ...] = ()
+    if stylesheet_of(transducer) is not None and input_type is not None:
+        declined = tuple(
+            f"stylesheet route: {reason}"
+            for reason in decline_reasons(
+                transducer, input_type, output_type
+            )
+        )
+        if not declined:
+            return RouteDecision(route=STYLESHEET)
     if transducer.k != 1:
         return RouteDecision(
             route=EXACT,
             reasons=(
+                *declined,
                 f"uses {transducer.k} pebbles; both fast routes need a "
                 "single head",
             ),
@@ -140,8 +168,10 @@ def classify(transducer: PebbleTransducer) -> RouteDecision:
                     f"descends into the {side} child more than once"
                 )
     if reasons:
-        return RouteDecision(route=LAZY_BACKWARD, reasons=tuple(reasons))
-    return RouteDecision(route=FAST_TD)
+        return RouteDecision(
+            route=LAZY_BACKWARD, reasons=(*declined, *reasons)
+        )
+    return RouteDecision(route=FAST_TD, reasons=declined)
 
 
 def _local_edges(transducer: PebbleTransducer, symbol: str, state) -> tuple:

@@ -18,7 +18,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import pickle
 import sys
 
 import pytest
@@ -52,12 +54,13 @@ from repro.runtime.cache import (
     entry_size,
     fingerprint,
     memo_key,
+    source_of,
     tracked_keys,
 )
-from repro.runtime.governor import current_governor
+from repro.runtime.governor import current_governor, governed, make_governor
 from repro.runtime.trace import Tracer, tracing
 from repro.trees import BTree, RankedAlphabet, encoded_alphabet
-from repro.typecheck import typecheck
+from repro.typecheck import typecheck, typecheck_lazy
 from repro.typecheck.engine import as_automaton, complement_output_type
 from repro.xmlio import SpecializedDTD, parse_dtd
 
@@ -122,11 +125,19 @@ def _derivation(value):
     return getattr(value, "_repro_derivation", None)
 
 
+def _lazy(*check, max_steps=None):
+    """``typecheck_lazy`` on ``check``: ``method="auto"`` sends a
+    stylesheet between DTDs to the stylesheet route instead.  A step
+    budget installs a governor, as ``typecheck`` would."""
+    gov = make_governor(max_steps=max_steps)
+    with governed(gov) if gov is not None else contextlib.nullcontext():
+        return typecheck_lazy(*check, governor=gov)
+
+
 class TestDerivationKeys:
     @pytest.mark.parametrize("method,op", [
         ("exact", "pebble.to_regular"),
-        # auto routes the wrap stylesheet to lazy-backward
-        pytest.param("auto", "routing.lazy-backward",
+        pytest.param("lazy", "routing.lazy-backward",
                      id="lazy-routing.lazy-backward"),
     ])
     def test_memo_produced_automata_are_never_rehashed(
@@ -139,7 +150,10 @@ class TestDerivationKeys:
 
         monkeypatch.setattr(cache_module, "_pebble_fingerprint", spy)
         with tracked_keys() as keys:
-            result = typecheck(*_wrap_job(WRAP_BAD), method=method)
+            if method == "lazy":
+                result = _lazy(*_wrap_job(WRAP_BAD))
+            else:
+                result = typecheck(*_wrap_job(WRAP_BAD), method=method)
         assert not result.ok
         assert any(key.startswith(op + "|drv:") for key in keys)
         assert any(
@@ -206,7 +220,7 @@ class TestSourceKeys:
     @pytest.mark.parametrize("job", sorted(SHEET_JOBS))
     def test_warm_repeat_hashes_no_automaton(self, monkeypatch, job):
         passes = SHEET_JOBS[job][-1]
-        typecheck(*_from_texts(job))
+        _lazy(*_from_texts(job))
         seen: list = []
         compute = cache_module._compute_fingerprint
 
@@ -218,7 +232,7 @@ class TestSourceKeys:
         monkeypatch.setattr(cache_module, "_compute_fingerprint", spy)
         # a step budget installs a governor, whose phase says where
         # each fingerprint was taken
-        result = typecheck(*_from_texts(job), max_steps=10**9)
+        result = _lazy(*_from_texts(job), max_steps=10**9)
         assert result.ok is passes
         kinds = {kind for kind, _ in seen}
         assert not kinds & {"PebbleTransducer", "TopDownTA",
@@ -227,10 +241,10 @@ class TestSourceKeys:
         assert phases <= (set() if passes else {"witness"}), seen
 
     def test_warm_repeat_hits_the_complement_output_op(self):
-        typecheck(*_wrap_job(WRAP_OK))
+        _lazy(*_wrap_job(WRAP_OK))
         tracer = Tracer()
         with tracing(tracer):
-            typecheck(*_wrap_job(WRAP_OK))
+            _lazy(*_wrap_job(WRAP_OK))
         (op,) = _spans(tracer.root, "type.complement-output")
         assert op.attrs["cache"] == "hit"
         assert not list(_spans(tracer.root, "bu-to-td"))
@@ -268,6 +282,20 @@ class TestSourceKeys:
         assert dtd_key(WRAP_BAD) != dtd_key(WRAP_OK)  # one content model
         wider = encoded_alphabet({"D", "S", "P", "X"})
         assert dtd_key(WRAP_OK, wider) != dtd_key(WRAP_OK)
+
+    def test_a_source_key_keeps_its_sources(self):
+        machine, tau1, _ = _from_texts("q2-good")
+        key = source_of(machine)
+        assert key == _derivation(machine)
+        assert key.construction == "xslt_to_transducer"
+        assert key.sources == (parse_stylesheet(Q2_SHEET),)
+        assert key.extra == (("a", "root"), "root")
+        assert source_of(as_automaton(tau1)).sources == (tau1,)
+        # the disk tier pickles values with their keys
+        copy = pickle.loads(pickle.dumps(machine))
+        assert source_of(copy) == key
+        assert source_of(copy).sources == key.sources
+        assert source_of(copy_transducer(encoded_alphabet({"a"}))) is None
 
     def test_other_constructions_carry_no_source_key(self):
         assert _derivation(copy_transducer(encoded_alphabet({"a"}))) is None
@@ -407,7 +435,7 @@ def _spans(span, name):
 
 class TestSharedTrimQuotient:
     def test_warm_lazy_check_neither_trims_nor_quotients(self, monkeypatch):
-        first = typecheck(*_wrap_job(WRAP_BAD), method="auto")
+        first = _lazy(*_wrap_job(WRAP_BAD))
 
         def spy(automaton):
             raise AssertionError("the warm check re-quotiented its product")
@@ -415,7 +443,7 @@ class TestSharedTrimQuotient:
         monkeypatch.setattr(to_regular, "quotient_pebble_automaton", spy)
         tracer = Tracer()
         with tracing(tracer):
-            second = typecheck(*_wrap_job(WRAP_BAD), method="auto")
+            second = _lazy(*_wrap_job(WRAP_BAD))
         (trim,) = _spans(tracer.root, "pebble.trim-quotient")
         assert trim.attrs["cache"] == "hit"
         assert second.method == first.method == "lazy-backward"
@@ -425,10 +453,10 @@ class TestSharedTrimQuotient:
                 first.counterexample_output)
 
     def test_without_the_cache_the_verdict_and_witness_agree(self):
-        cached = typecheck(*_wrap_job(WRAP_BAD), method="auto")
+        cached = _lazy(*_wrap_job(WRAP_BAD))
         with cache_disabled():
-            first = typecheck(*_wrap_job(WRAP_BAD), method="auto")
-            second = typecheck(*_wrap_job(WRAP_BAD), method="auto")
+            first = _lazy(*_wrap_job(WRAP_BAD))
+            second = _lazy(*_wrap_job(WRAP_BAD))
         for result in (first, second):
             assert (result.ok, result.counterexample_input,
                     result.counterexample_output) \

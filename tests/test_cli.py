@@ -158,7 +158,10 @@ class TestTypecheck:
         # bounded verdict; the bad DTD still yields its counterexample.
         # --no-cache keeps the tiny budget meaningful: a warm memo table
         # would absorb the very work the budget is sized to interrupt.
-        code = main(["typecheck", "--max-steps", "10", "--no-cache",
+        # --method exact: the default route decides this check in a few
+        # steps, so a budget it runs out of has to be smaller than that
+        code = main(["typecheck", "--method", "exact",
+                     "--max-steps", "10", "--no-cache",
                      "--input-dtd", files["in.dtd"],
                      "--output-dtd", files["bad.dtd"], files["sheet.xsl"]])
         assert code == 1
@@ -167,8 +170,9 @@ class TestTypecheck:
         assert "DOES NOT typecheck" in captured.out
 
     def test_budget_without_fallback_exits_3(self, files, capsys):
-        code = main(["typecheck", "--max-steps", "10", "--no-fallback",
-                     "--no-cache",
+        # --method exact, as above
+        code = main(["typecheck", "--method", "exact",
+                     "--max-steps", "10", "--no-fallback", "--no-cache",
                      "--input-dtd", files["in.dtd"],
                      "--output-dtd", files["good.dtd"], files["sheet.xsl"]])
         assert code == 3
