@@ -32,6 +32,7 @@ import os
 import subprocess
 import sys
 import time
+from datetime import datetime
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -149,17 +150,28 @@ def run_experiment(path: Path, name: str, trace: bool = True) -> dict:
 
 def _prior_bench(output: Path) -> dict | None:
     """The most recent committed ``BENCH_*.json`` other than ``output``
-    (the cross-revision reference for the trace-overhead comparison)."""
-    candidates = [
-        path for path in REPO_ROOT.glob("BENCH_*.json") if path != output
-    ]
-    if not candidates:
-        return None
-    latest = max(candidates, key=lambda path: path.stat().st_mtime)
-    try:
-        return json.loads(latest.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
+    (the cross-revision reference for step drift and trace overhead).
+
+    Recency is the ``generated`` time each file records: a checkout
+    gives every committed file the same mtime, which then only tells
+    directory order.  A file without a readable ``generated`` time
+    falls back to its mtime."""
+    latest, latest_at = None, None
+    for path in REPO_ROOT.glob("BENCH_*.json"):
+        if path == output:
+            continue
+        try:
+            report = json.loads(path.read_text())
+            generated = datetime.strptime(
+                report["generated"], "%Y-%m-%dT%H:%M:%S%z"
+            ).timestamp()
+        except (OSError, json.JSONDecodeError):
+            continue
+        except (KeyError, TypeError, ValueError):
+            generated = path.stat().st_mtime
+        if latest_at is None or generated > latest_at:
+            latest, latest_at = report, generated
+    return latest
 
 
 #: Experiments whose governor step counts the bitset-core rewrite must

@@ -427,7 +427,7 @@ def compile_regex(expr: Regex, alphabet: Optional[Iterable[str]] = None) -> DFA:
     return memoized(
         "re.compile",
         (expr,),
-        lambda: _compile(expr, alpha).minimized(),
+        lambda: _compile(expr, alpha),
         extra=(tuple(sorted(alpha)),),
     )
 

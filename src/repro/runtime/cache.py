@@ -37,6 +37,12 @@ on sharing.  This module provides the sharing:
   the byte budget is counted from the table lengths the value already
   holds (:func:`entry_size`), not by walking its object graph, so
   storing an entry never walks the automaton either.
+* **Outermost keys.**  Inside the compute of a miss, an operation whose
+  inputs are not all keyed already (a derivation, a source key or a
+  cached fingerprint) just computes: the outer operation's key covers
+  its result, so keying and storing the fresh intermediates of a chain
+  (regex → NFA → DFA → minimal DFA) buys nothing a later check could
+  look up.  A nested operation on keyed inputs still uses both tiers.
 
 Composition with the resource governor (PR 1):
 
@@ -48,7 +54,8 @@ Composition with the resource governor (PR 1):
   (:meth:`~repro.runtime.governor.ResourceGovernor.tick`), so step
   budgets keep measuring work requested rather than becoming no-ops the
   moment the cache is warm — and a hit can still trip an
-  already-exhausted budget or deadline.
+  already-exhausted budget or deadline.  A nested operation that just
+  computes charges only what its compute ticks.
 
 Observability: :func:`cache_stats` exposes hit/miss/store/eviction/bytes
 counters, surfaced by ``typecheck()`` (``stats["cache"]``) and by the
@@ -56,7 +63,7 @@ CLI's ``--cache-stats`` flag; ``--no-cache`` (or ``REPRO_CACHE=0`` in
 the environment) disables the table entirely for A/B runs.  Under an
 ambient tracer (:mod:`repro.runtime.trace`), every :func:`memoized`
 call additionally opens a span named after the operation — tagged
-``cache="hit"/"miss"`` with ``fingerprint`` / ``compute`` /
+``cache="hit"/"miss"/"nested"`` with ``fingerprint`` / ``compute`` /
 ``memo-store`` sub-spans.  Untraced, the same code runs against the
 null tracer, whose spans are no-ops.
 """
@@ -70,6 +77,7 @@ import sys
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Any, Callable, Hashable, Iterable, Iterator, Optional
 
 from repro.runtime.governor import current_governor
@@ -796,6 +804,11 @@ GLOBAL_CACHE = MemoCache(
 #: directory (``repro serve``).
 _PERSISTENT: Optional[Any] = None
 
+#: True within the compute of a miss (see :func:`memoized`): per
+#: ``contextvars`` context, so a thread started there keys its own
+#: operations as outermost.
+_IN_MISS: ContextVar[bool] = ContextVar("repro_memo_in_miss", default=False)
+
 #: When set (see :func:`tracked_keys`), every memoized operation adds its
 #: canonical key here — the audit uses this to know exactly which memo
 #: entries a run's verdict depended on, so a refuted verdict can
@@ -866,7 +879,8 @@ def install_persistent(disk: Optional[Any]) -> None:
     as the process-wide persistent memo tier.
 
     ``None`` uninstalls.  The tier is consulted on every in-memory miss
-    and written through on every store, and :func:`quarantine_keys`
+    and written through on every store (an operation nested in another's
+    miss on fresh inputs makes neither), and :func:`quarantine_keys`
     tombstones its records; a persistent *miss* is one dict lookup in
     the disk cache's in-memory index.
     """
@@ -1010,6 +1024,12 @@ def memoized(
     A pebble automaton returned on any of these paths is tagged with its
     derivation (:func:`_derived`), so keys built on it later skip its
     fingerprint.
+
+    Within the compute of a miss, an operation with an input that
+    carries no key yet (no derivation and no cached fingerprint of the
+    kind ``exact`` asks for) only runs ``compute()``: no fingerprint,
+    lookup, store or nominal step.  Its result is a fresh intermediate
+    of the outer operation, whose key already covers it.
     """
     cache = GLOBAL_CACHE
     tracer = current_tracer()
@@ -1021,6 +1041,13 @@ def memoized(
         if not cache.enabled:
             span.set(cache="disabled")
             return compute()
+        if _IN_MISS.get():
+            fp_attr = _FP_EXACT_ATTR if exact else _FP_ATTR
+            for value in inputs:
+                if getattr(value, _DERIVATION_ATTR, None) is None \
+                        and getattr(value, fp_attr, None) is None:
+                    span.set(cache="nested")
+                    return compute()
         # keying an input without a derivation can dominate on large
         # automata (canonical renaming + content hash), so it gets its
         # own leaf span
@@ -1045,8 +1072,12 @@ def memoized(
         span.set(cache="miss")
         # the construction itself gets a span too, so the table's own
         # bookkeeping (lookup/store) stays separable from compute time
-        with tracer.span("compute"):
-            value = compute()
+        token = _IN_MISS.set(True)
+        try:
+            with tracer.span("compute"):
+                value = compute()
+        finally:
+            _IN_MISS.reset(token)
         # storing is bookkeeping too: the derivation tag, the entry's
         # size, and with a disk tier a pickled write-through
         with tracer.span("memo-store"):

@@ -802,8 +802,11 @@ class ServiceDaemon:
                deadline_at: Optional[float] = None) -> int:
         """Enqueue unconditionally (replay path: the cap never re-sheds
         work that was already admitted and journaled)."""
-        slot = self._slot_for(affinity_key(spec.to_dict()))
-        self._queues[slot].put((spec, waiter, time.monotonic(), deadline_at))
+        affinity = affinity_key(spec.to_dict())
+        slot = self._slot_for(affinity)
+        self._queues[slot].put(
+            (spec, waiter, time.monotonic(), deadline_at, affinity)
+        )
         return slot
 
     def _controller_loop(self) -> None:
@@ -827,7 +830,7 @@ class ServiceDaemon:
                     item = self._queues[slot].get(timeout=0.1)
                 except queue.Empty:
                     continue
-                spec, waiter, enqueued_at, deadline_at = item
+                spec, waiter, enqueued_at, deadline_at, affinity = item
                 # chaos points: a ``delay`` here stalls consumption so a
                 # burst piles the backlog / outlives a queued deadline
                 fault_point("pool:backlog-storm", str(slot))
@@ -836,8 +839,8 @@ class ServiceDaemon:
                     self._controller.observe_wait(
                         time.monotonic() - enqueued_at
                     )
-                self._finish(spec, self._execute(slot, spec, deadline_at),
-                             waiter)
+                result = self._execute(slot, spec, deadline_at, affinity)
+                self._finish(spec, result, waiter, affinity)
         # drain: whatever never started stays journaled for the next
         # daemon; its waiter learns it was deferred, not lost
         while True:
@@ -851,12 +854,13 @@ class ServiceDaemon:
         self._pool.retire(slot)
 
     def _execute(self, slot: int, spec: JobSpec,
-                 deadline_at: Optional[float]) -> JobResult:
+                 deadline_at: Optional[float], affinity: str) -> JobResult:
         """Run ``spec`` through the supervisor's retry loop on ``slot``.
 
         Brownout and audit are applied to the spec first; a deadline
         that expired in queue is answered ``shed`` by the loop itself,
-        without touching the worker.
+        without touching the worker.  ``affinity`` is the key the job
+        was admitted under; its cost is filed under it.
         """
         pressure = self._controller.level if self._controller else 0
         with current_tracer().span(f"serve:{spec.id}", kind=spec.kind,
@@ -873,7 +877,7 @@ class ServiceDaemon:
         # feed the admission cost model with what execution actually cost
         # (timeouts count at their observed wall: hitting the wall *is*
         # the cost signal admission needs)
-        self._costs.record(affinity_key(spec.to_dict()), result.wall_seconds)
+        self._costs.record(affinity, result.wall_seconds)
         audit_report = result.detail.get("stats", {}).get("audit")
         if isinstance(audit_report, dict) and audit_report.get("status"):
             self._audit_outcomes[str(audit_report["status"])] += 1
@@ -983,7 +987,7 @@ class ServiceDaemon:
         with self._waiters_lock:
             self._waiters[spec.id] = waiter
         self._queues[slot].put(
-            (spec, waiter, time.monotonic(), deadline_at)
+            (spec, waiter, time.monotonic(), deadline_at, affinity)
         )
         if not wait:
             return {"ok": True, "queued": spec.id}
@@ -1005,15 +1009,18 @@ class ServiceDaemon:
         return result
 
     def _finish(self, spec: JobSpec, result: JobResult,
-                waiter: _Waiter) -> None:
-        self._record(spec, result)
+                waiter: _Waiter, affinity: str) -> None:
+        self._record(spec, result, affinity)
         with self._waiters_lock:
             self._waiters.pop(spec.id, None)
         waiter.result = result
         waiter.event.set()
 
-    def _record(self, spec: JobSpec, result: JobResult) -> None:
-        """Journal a final result and count it."""
+    def _record(self, spec: JobSpec, result: JobResult,
+                affinity: Optional[str] = None) -> None:
+        """Journal a final result and count it; ``affinity``, the key
+        the job was admitted under, files an executed result with the
+        breaker."""
         self._results_journal.append(result.to_jsonable())
         self._served[result.status] += 1
         if result.status == SHED:
@@ -1022,7 +1029,7 @@ class ServiceDaemon:
             reason = result.detail["shed"]
             self._shed_reasons[reason] += 1
         else:
-            self._breaker.record(affinity_key(spec.to_dict()), result.status)
+            self._breaker.record(affinity, result.status)
 
     def _journal_queue(self, spec: JobSpec) -> None:
         # lands even after a drain closed the journal: a ``deferred`` ack

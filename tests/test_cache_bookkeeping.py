@@ -14,6 +14,10 @@
   within 0.5x-2x of, and the byte budget still evicts.
 * **Trim and quotient** of the product are one memoized op, so a warm
   repeat of a lazy-route check does neither.
+* **Outermost keys.**  Within another op's miss, an op on a fresh,
+  unkeyed input just computes: a cold stylesheet check keys and stores
+  its ``re.compile`` ops but none of their DFA intermediates, an op on
+  a keyed input still hits, and a restart still reads what it read.
 """
 
 from __future__ import annotations
@@ -22,10 +26,14 @@ import contextlib
 import dataclasses
 import pickle
 import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.automata import BottomUpTA
+from repro.errors import ResourceExhausted
 from repro.lang import (
     Apply,
     Out,
@@ -44,7 +52,18 @@ from repro.pebble import (
 )
 from repro.pebble import to_regular
 from repro.pebble.to_regular import trim_quotient
-from repro.regex import compile_regex, concat, star, sym, union
+from repro.regex import (
+    EPSILON,
+    DFA,
+    Complement,
+    Intersect,
+    compile_regex,
+    concat,
+    star,
+    sym,
+    union,
+)
+from repro.regex.dfa import _compile
 from repro.runtime import cache as cache_module
 from repro.runtime.cache import (
     GLOBAL_CACHE,
@@ -54,10 +73,18 @@ from repro.runtime.cache import (
     entry_size,
     fingerprint,
     memo_key,
+    memoized,
+    persistent_tier,
     source_of,
     tracked_keys,
 )
-from repro.runtime.governor import current_governor, governed, make_governor
+from repro.runtime.diskcache import DiskCache
+from repro.runtime.governor import (
+    ResourceGovernor,
+    current_governor,
+    governed,
+    make_governor,
+)
 from repro.runtime.trace import Tracer, tracing
 from repro.trees import BTree, RankedAlphabet, encoded_alphabet
 from repro.typecheck import typecheck, typecheck_lazy
@@ -462,3 +489,154 @@ class TestSharedTrimQuotient:
                     result.counterexample_output) \
                 == (cached.ok, cached.counterexample_input,
                     cached.counterexample_output)
+
+
+def _stored_ops(keys) -> set:
+    """The operation names of the memo keys ``keys``."""
+    return {key.split("|", 1)[0] for key in keys}
+
+
+def _verdict(result) -> tuple:
+    return (result.ok, result.method, result.counterexample_input,
+            result.counterexample_output)
+
+
+#: DFA intermediates of ``re.compile``, never read on their own
+INTERMEDIATE_OPS = {"dfa.determinize", "dfa.minimized"}
+
+GENERALIZED_REGEXES = st.recursive(
+    st.one_of(st.just(EPSILON), st.sampled_from(["a", "b"]).map(sym)),
+    lambda sub: st.one_of(
+        st.builds(concat, sub, sub),
+        st.builds(union, sub, sub),
+        st.builds(star, sub),
+        st.builds(Intersect, sub, sub),
+        st.builds(Complement, sub),
+    ),
+    max_leaves=5,
+)
+
+
+class TestOutermostKeys:
+    @pytest.mark.parametrize("job", sorted(SHEET_JOBS))
+    def test_cold_stylesheet_check_keys_no_dfa_intermediate(
+        self, monkeypatch, tmp_path, job
+    ):
+        def spy(automaton):
+            raise AssertionError("a fresh intermediate was fingerprinted")
+
+        monkeypatch.setattr(cache_module, "_nfa_fingerprint", spy)
+        monkeypatch.setattr(cache_module, "_dfa_fingerprint", spy)
+        with DiskCache(tmp_path) as disk, persistent_tier(disk):
+            result = typecheck(*_from_texts(job))
+            on_disk = _stored_ops(disk.keys())
+        assert result.method == "stylesheet"
+        assert result.ok is SHEET_JOBS[job][-1]
+        in_memory = _stored_ops(GLOBAL_CACHE._table)
+        assert "re.compile" in in_memory
+        assert in_memory == on_disk
+        assert not in_memory & INTERMEDIATE_OPS
+
+    def test_a_nested_op_on_a_keyed_input_uses_the_table(self, monkeypatch):
+        # fast-td determinizes tau2 at top level; the route verdict's
+        # complement of tau2 determinizes it again under that op's miss
+        machine = copy_transducer(encoded_alphabet({"doc", "item"}))
+        tau1 = parse_dtd("doc := item*\nitem :=")
+        tau2 = parse_dtd("doc := item.item\nitem :=")
+        determinized = BottomUpTA._determinized
+        calls = []
+
+        def spy(automaton, keep_subsets):
+            key = source_of(automaton)
+            if key is not None and key.sources == (tau2,):
+                calls.append(keep_subsets)
+            return determinized(automaton, keep_subsets)
+
+        monkeypatch.setattr(BottomUpTA, "_determinized", spy)
+        tracer = Tracer()
+        with tracing(tracer):
+            result = typecheck(machine, tau1, tau2)
+        assert (result.ok, result.method) == (False, "fast-td")
+        assert len(calls) == 1
+        caches = [span.attrs["cache"]
+                  for span in _spans(tracer.root, "ta.determinized")]
+        assert caches[0] == "miss" and "hit" in caches[1:]
+
+    def test_an_exhausted_compute_resets_the_marker(self, monkeypatch):
+        exhausted_in_miss = []
+        exhaust = ResourceGovernor._exhaust
+
+        def spy(governor, *args):
+            exhausted_in_miss.append(cache_module._IN_MISS.get())
+            return exhaust(governor, *args)
+
+        monkeypatch.setattr(ResourceGovernor, "_exhaust", spy)
+        with pytest.raises(ResourceExhausted):
+            typecheck(*_wrap_job(WRAP_BAD), method="exact", max_steps=5,
+                      fallback=False)
+        assert exhausted_in_miss == [True]
+        assert cache_module._IN_MISS.get() is False
+        clear_cache()
+        GLOBAL_CACHE.reset_stats()
+        assert typecheck(*_from_texts("wrap-ok")).ok
+        assert _stored_ops(GLOBAL_CACHE._table) == {"re.compile"}
+        assert GLOBAL_CACHE.stats()["stores"] > 0
+
+    def test_a_thread_started_in_a_compute_keys_its_own_ops(self):
+        nested, threaded = star(sym("a")), concat(sym("a"), sym("b"))
+        alphabet = ("a", "b")
+
+        def outer():
+            compile_regex(nested, alphabet)
+            worker = threading.Thread(target=compile_regex,
+                                      args=(threaded, alphabet))
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+            return 0
+
+        memoized("test.outer", (), outer)
+        assert memo_key("re.compile", (threaded,), (alphabet,)) \
+            in GLOBAL_CACHE._table
+        assert memo_key("re.compile", (nested,), (alphabet,)) \
+            not in GLOBAL_CACHE._table
+        assert _stored_ops(GLOBAL_CACHE._table) == {"test.outer",
+                                                    "re.compile"}
+
+    def test_a_restart_reads_what_a_cold_check_wrote(self, tmp_path):
+        with DiskCache(tmp_path) as disk, persistent_tier(disk):
+            cold = typecheck(*_from_texts("q2-tight"))
+        clear_cache()
+        with DiskCache(tmp_path) as disk, persistent_tier(disk):
+            warm = typecheck(*_from_texts("q2-tight"))
+            stats = disk.stats()
+        assert _verdict(warm) == _verdict(cold)
+        assert stats["hits"] > 0
+        assert stats["misses"] == 0
+
+
+class TestCompileRegex:
+    def test_a_cold_plain_regex_is_minimized_once(self, monkeypatch):
+        minimized = DFA._minimized
+        calls = []
+
+        def spy(dfa):
+            calls.append(dfa)
+            return minimized(dfa)
+
+        monkeypatch.setattr(DFA, "_minimized", spy)
+        compile_regex(concat(star(union(sym("a"), sym("b"))), sym("a")),
+                      alphabet={"a", "b"})
+        assert len(calls) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(GENERALIZED_REGEXES)
+    def test_the_compiled_dfa_is_the_one_compile_builds(self, expr):
+        alphabet = frozenset({"a", "b"})
+        with cache_disabled():
+            built = _compile(expr, alphabet)
+            uncached = compile_regex(expr, alphabet)
+        clear_cache()
+        cold = compile_regex(expr, alphabet)
+        warm = compile_regex(expr, alphabet)
+        assert uncached == cold == warm == built

@@ -170,6 +170,45 @@ def test_affinity_key_depends_on_input_content(make_daemon):
     assert len(keys) == 2
 
 
+def test_one_affinity_key_per_admitted_job(make_daemon, monkeypatch,
+                                           tmp_path):
+    from repro.runtime import service
+
+    keys: list[str] = []
+
+    def numbered(payload):
+        # numbered per call, so a key derived again after admission
+        # (from path inputs that may have changed) would show
+        keys.append(f"{affinity_key(payload)}#{len(keys)}")
+        return keys[-1]
+
+    affinity_key = service.affinity_key
+    monkeypatch.setattr(service, "affinity_key", numbered)
+    daemon = make_daemon(workers=1)
+    filed: list[tuple] = []
+    for name in ("_costs", "_breaker"):
+        table = getattr(daemon, name)
+
+        def spy(key, value, name=name, record=table.record):
+            filed.append((name, key))
+            record(key, value)
+
+        monkeypatch.setattr(table, "record", spy)
+    sheet, dtd = tmp_path / "identity.xsl", tmp_path / "tiny.dtd"
+    sheet.write_text(IDENTITY_SHEET)
+    dtd.write_text(TINY_DTD)
+    client = ServiceClient(daemon.socket_path)
+    for i in range(2):
+        spec = JobSpec(id=f"paths-{i}", kind="typecheck",
+                       params={"stylesheet": str(sheet),
+                               "input_dtd": str(dtd),
+                               "output_dtd": str(dtd)})
+        assert client.submit(spec)["result"]["status"] == OK
+    assert len(keys) == 2
+    assert filed == [("_costs", keys[0]), ("_breaker", keys[0]),
+                     ("_costs", keys[1]), ("_breaker", keys[1])]
+
+
 # -- worker recycling --------------------------------------------------------
 
 
