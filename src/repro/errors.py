@@ -31,9 +31,8 @@ code  meaning
       (:class:`ResourceExhausted`, no fallback available); for
       ``repro submit``, the most severe job status was ``exhausted``
 4     a worker was killed or crashed: SIGKILL at a wall/RSS limit,
-      a worker process that died without reporting
-      (:class:`WorkerCrashed`), or any job finishing
-      ``crashed``/``timeout``/``oom`` — for ``repro typecheck`` /
+      a worker process that died without reporting, or any job
+      finishing ``crashed``/``timeout``/``oom`` — for ``repro typecheck`` /
       ``run`` / ``validate``, an exception that is not a
       :class:`ReproError` (reported with its traceback); for
       ``repro submit``, also a submission fast-failed by an open
@@ -225,32 +224,6 @@ class ServiceError(ReproError):
     """
 
 
-class WorkerCrashed(ReproError):
-    """A supervised worker process died without reporting a result.
-
-    Carries enough forensic detail for the batch log: the process exit
-    status (negative = killed by that signal number, per
-    ``multiprocessing.Process.exitcode``) and which hard limit, if any,
-    triggered the kill.
-
-    Attributes:
-        exitcode: the worker's exit status (``None`` if unknown).
-        killed_by: ``"timeout"`` / ``"oom"`` when the supervisor itself
-            SIGKILLed the worker at a hard limit, else ``None``.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        exitcode: int | None = None,
-        killed_by: str | None = None,
-    ) -> None:
-        self.exitcode = exitcode
-        self.killed_by = killed_by
-        super().__init__(message)
-
-
 class FaultInjected(ReproError):
     """Raised by an armed ``exception`` fault point (chaos testing only).
 
@@ -261,8 +234,6 @@ class FaultInjected(ReproError):
 
 def exit_code_for(error: BaseException) -> int:
     """The CLI exit code for ``error`` (see the module docstring table)."""
-    if isinstance(error, WorkerCrashed):
-        return EXIT_CRASHED
     if isinstance(error, ResourceExhausted):
         return EXIT_EXHAUSTED
     if isinstance(error, (ReproError, OSError)):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.errors import PebbleMachineError
 from repro.pebble.stepping import Config, guard_bits, move_successor
@@ -30,18 +30,18 @@ from repro.pebble.transducer import (
     Emit2,
     GuardKey,
     Move,
+    PebbleMachine,
     Pick,
     Place,
     RuleSet,
     State,
-    _check_levels,
 )
 from repro.trees.alphabet import RankedAlphabet
 from repro.trees.ranked import BTree, IndexedTree
 
 
 @dataclass(frozen=True)
-class PebbleAutomaton:
+class PebbleAutomaton(PebbleMachine):
     """A k-pebble tree automaton (Definition 4.5)."""
 
     alphabet: RankedAlphabet
@@ -57,17 +57,8 @@ class PebbleAutomaton:
         initial: State,
         rules: RuleSet | Mapping[GuardKey, Iterable[Action]],
     ) -> None:
-        frozen, level_of = _check_levels(levels)
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "levels", frozen)
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "level_of", level_of)
-        if isinstance(rules, RuleSet):
-            table = rules.build_rules(alphabet, level_of)
-        else:
-            table = {key: tuple(actions) for key, actions in rules.items()}
-        object.__setattr__(self, "rules", table)
-        self._validate()
+        super().__init__(alphabet, levels, initial, rules)
 
     @classmethod
     def _trusted(
@@ -86,85 +77,25 @@ class PebbleAutomaton:
         checks for debugging.
         """
         self = object.__new__(cls)
-        frozen, level_of = _check_levels(levels)
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "levels", frozen)
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "level_of", level_of)
+        self._set_levels(levels, initial)
         object.__setattr__(self, "rules", dict(rules))
         if os.environ.get("REPRO_VALIDATE_TRUSTED") == "1":
-            self._validate()
+            self._validate(alphabet)
         return self
 
-    @property
-    def k(self) -> int:
-        """The number of pebbles."""
-        return len(self.levels)
-
-    @property
-    def states(self) -> frozenset[State]:
-        """All states."""
-        return frozenset(self.level_of)
-
-    def _validate(self) -> None:
-        if self.level_of.get(self.initial) != 1:
-            raise PebbleMachineError("the initial state must be in Q1")
-        for (symbol, state, bits), actions in self.rules.items():
-            if symbol not in self.alphabet:
-                raise PebbleMachineError(f"guard symbol {symbol!r} unknown")
-            level = self.level_of.get(state)
-            if level is None:
-                raise PebbleMachineError(f"guard state {state!r} unknown")
-            if len(bits) != level - 1:
+    def _validate_terminal(self, level: int, action: Action) -> None:
+        if isinstance(action, Branch2):
+            if not self._branches_in_level(level, action):
                 raise PebbleMachineError(
-                    f"guard for level-{level} state {state!r} has "
-                    f"{len(bits)} pebble bits"
+                    "branch2 states must stay in the same level"
                 )
-            for action in actions:
-                self._validate_action(state, level, action)
-
-    def _validate_action(self, state: State, level: int, action: Action) -> None:
-        if isinstance(action, Move):
-            if self.level_of.get(action.target) != level:
-                raise PebbleMachineError(
-                    f"move from {state!r} must stay in level {level}"
-                )
-        elif isinstance(action, Place):
-            if level + 1 > self.k:
-                raise PebbleMachineError(
-                    f"cannot place pebble {level + 1}: only {self.k} pebbles"
-                )
-            if self.level_of.get(action.target) != level + 1:
-                raise PebbleMachineError(
-                    f"place from level {level} must target level {level + 1}"
-                )
-        elif isinstance(action, Pick):
-            if level == 1:
-                raise PebbleMachineError("cannot pick pebble 1")
-            if self.level_of.get(action.target) != level - 1:
-                raise PebbleMachineError(
-                    f"pick from level {level} must target level {level - 1}"
-                )
-        elif isinstance(action, Branch2):
-            for target in (action.left, action.right):
-                if self.level_of.get(target) != level:
-                    raise PebbleMachineError(
-                        "branch2 states must stay in the same level"
-                    )
-        elif isinstance(action, Branch0):
-            pass
         elif isinstance(action, (Emit0, Emit2)):
             raise PebbleMachineError(
                 "output actions belong to transducers, not pebble automata"
             )
-        else:
+        elif not isinstance(action, Branch0):
             raise PebbleMachineError(f"unknown action {action!r}")
-
-    def actions_for(
-        self, symbol: str, state: State, bits: tuple[int, ...]
-    ) -> tuple[Action, ...]:
-        """The actions applicable under a concrete guard."""
-        return self.rules.get((symbol, state, bits), ())
 
     def has_branching(self) -> bool:
         """True when the automaton uses ``branch2`` (Corollary 4.9
@@ -254,11 +185,3 @@ class PebbleAutomaton:
         if initial in accessible:
             return frozenset(accessible)
         return None
-
-    def stats(self) -> dict[str, int]:
-        """Size statistics (used by the complexity benchmarks)."""
-        return {
-            "pebbles": self.k,
-            "states": len(self.level_of),
-            "rules": sum(len(a) for a in self.rules.values()),
-        }

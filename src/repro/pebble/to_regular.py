@@ -268,7 +268,9 @@ class _LevelCompiler:
         keep_pos = [self.all_vars.index(v) for v in self.keep_vars]
         grouped: dict[tuple[str, tuple[int, ...]], dict[_RowKey, _Row]] = {}
         for a in sorted(self.base.symbols):
-            for bits in all_bits(len(self.all_vars)):
+            # lazily: 2^|all_vars| vectors can exceed memory long before
+            # the budget the ticks enforce runs out
+            for bits in itertools.product((0, 1), repeat=len(self.all_vars)):
                 governor.tick()
                 bv = dict(zip(self.all_vars, bits))
                 if not all(f(a, bv) for f in self.filters):

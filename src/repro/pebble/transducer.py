@@ -21,14 +21,15 @@ Actions (the paper's transition forms)::
 
 :class:`PebbleAutomaton` (the acceptor variant of Definition 4.5) replaces
 the output actions with ``Branch0`` / ``Branch2`` and lives in
-:mod:`repro.pebble.automaton`; both share the guard/rule machinery here.
+:mod:`repro.pebble.automaton`; both are :class:`PebbleMachine` subclasses,
+which owns the levels, the guard table and its validation.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.errors import PebbleMachineError
 from repro.trees.alphabet import RankedAlphabet
@@ -191,63 +192,52 @@ class RuleSet:
         return {key: tuple(actions) for key, actions in rules.items()}
 
 
-def _check_levels(
-    levels: Sequence[Iterable[State]],
-) -> tuple[tuple[frozenset[State], ...], dict[State, int]]:
-    frozen = tuple(frozenset(level) for level in levels)
-    if not frozen:
-        raise PebbleMachineError("a pebble machine needs at least one level")
-    level_of: dict[State, int] = {}
-    for index, level in enumerate(frozen, start=1):
-        for state in level:
-            if state in level_of:
-                raise PebbleMachineError(
-                    f"state {state!r} appears in two levels"
-                )
-            level_of[state] = index
-    return frozen, level_of
+class PebbleMachine:
+    """What the k-pebble transducer (Definition 3.1) and the k-pebble
+    automaton (Definition 4.5) share: the state levels, the guard table
+    and its validation.  The two differ only in their terminal actions.
 
-
-@dataclass(frozen=True)
-class PebbleTransducer:
-    """A k-pebble tree transducer (Definition 3.1).
-
-    Attributes:
-        input_alphabet: the ranked input alphabet ``Sigma``.
-        output_alphabet: the ranked output alphabet ``Sigma'``.
-        levels: the state partition ``(Q1, ..., Qk)``.
-        initial: the initial state ``q0 ∈ Q1``.
-        rules: the expanded guard table; each guard maps to the tuple of
-            applicable actions (nondeterminism = several actions).
+    Subclasses are frozen dataclasses that declare their alphabet fields
+    before ``levels``, ``initial``, ``rules`` and ``level_of`` (the
+    constructor sets them in that order too), and check their terminal
+    actions in :meth:`_validate_terminal`.
     """
-
-    input_alphabet: RankedAlphabet
-    output_alphabet: RankedAlphabet
-    levels: tuple[frozenset[State], ...]
-    initial: State
-    rules: dict[GuardKey, tuple[Action, ...]]
-    level_of: dict[State, int] = field(compare=False)
 
     def __init__(
         self,
-        input_alphabet: RankedAlphabet,
-        output_alphabet: RankedAlphabet,
+        guard_alphabet: RankedAlphabet,
         levels: Sequence[Iterable[State]],
         initial: State,
         rules: RuleSet | Mapping[GuardKey, Iterable[Action]],
     ) -> None:
-        frozen, level_of = _check_levels(levels)
-        object.__setattr__(self, "input_alphabet", input_alphabet)
-        object.__setattr__(self, "output_alphabet", output_alphabet)
-        object.__setattr__(self, "levels", frozen)
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "level_of", level_of)
+        level_of = self._set_levels(levels, initial)
         if isinstance(rules, RuleSet):
-            table = rules.build_rules(input_alphabet, level_of)
+            table = rules.build_rules(guard_alphabet, level_of)
         else:
             table = {key: tuple(actions) for key, actions in rules.items()}
         object.__setattr__(self, "rules", table)
-        self._validate()
+        self._validate(guard_alphabet)
+
+    def _set_levels(
+        self, levels: Sequence[Iterable[State]], initial: State
+    ) -> dict[State, int]:
+        frozen = tuple(frozenset(level) for level in levels)
+        if not frozen:
+            raise PebbleMachineError(
+                "a pebble machine needs at least one level"
+            )
+        level_of: dict[State, int] = {}
+        for index, level in enumerate(frozen, start=1):
+            for state in level:
+                if state in level_of:
+                    raise PebbleMachineError(
+                        f"state {state!r} appears in two levels"
+                    )
+                level_of[state] = index
+        object.__setattr__(self, "levels", frozen)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "level_of", level_of)
+        return level_of
 
     @property
     def k(self) -> int:
@@ -259,11 +249,11 @@ class PebbleTransducer:
         """All states."""
         return frozenset(self.level_of)
 
-    def _validate(self) -> None:
+    def _validate(self, guard_alphabet: RankedAlphabet) -> None:
         if self.level_of.get(self.initial) != 1:
             raise PebbleMachineError("the initial state must be in Q1")
         for (symbol, state, bits), actions in self.rules.items():
-            if symbol not in self.input_alphabet:
+            if symbol not in guard_alphabet:
                 raise PebbleMachineError(f"guard symbol {symbol!r} unknown")
             level = self.level_of.get(state)
             if level is None:
@@ -298,21 +288,16 @@ class PebbleTransducer:
                 raise PebbleMachineError(
                     f"pick from level {level} must target level {level - 1}"
                 )
-        elif isinstance(action, Emit0):
-            self.output_alphabet.check_leaf(action.symbol)
-        elif isinstance(action, Emit2):
-            self.output_alphabet.check_internal(action.symbol)
-            for target in (action.left, action.right):
-                if self.level_of.get(target) != level:
-                    raise PebbleMachineError(
-                        "output2 branch states must stay in the same level"
-                    )
-        elif isinstance(action, (Branch0, Branch2)):
-            raise PebbleMachineError(
-                "branch actions belong to pebble automata, not transducers"
-            )
         else:
-            raise PebbleMachineError(f"unknown action {action!r}")
+            self._validate_terminal(level, action)
+
+    def _validate_terminal(self, level: int, action: Action) -> None:
+        """Check an action that is not a move, place or pick."""
+        raise NotImplementedError
+
+    def _branches_in_level(self, level: int, action: Emit2 | Branch2) -> bool:
+        level_of = self.level_of
+        return level_of.get(action.left) == level == level_of.get(action.right)
 
     def actions_for(
         self, symbol: str, state: State, bits: tuple[int, ...]
@@ -331,3 +316,52 @@ class PebbleTransducer:
             "states": len(self.level_of),
             "rules": sum(len(a) for a in self.rules.values()),
         }
+
+
+@dataclass(frozen=True)
+class PebbleTransducer(PebbleMachine):
+    """A k-pebble tree transducer (Definition 3.1).
+
+    Attributes:
+        input_alphabet: the ranked input alphabet ``Sigma``.
+        output_alphabet: the ranked output alphabet ``Sigma'``.
+        levels: the state partition ``(Q1, ..., Qk)``.
+        initial: the initial state ``q0 ∈ Q1``.
+        rules: the expanded guard table; each guard maps to the tuple of
+            applicable actions (nondeterminism = several actions).
+    """
+
+    input_alphabet: RankedAlphabet
+    output_alphabet: RankedAlphabet
+    levels: tuple[frozenset[State], ...]
+    initial: State
+    rules: dict[GuardKey, tuple[Action, ...]]
+    level_of: dict[State, int] = field(compare=False)
+
+    def __init__(
+        self,
+        input_alphabet: RankedAlphabet,
+        output_alphabet: RankedAlphabet,
+        levels: Sequence[Iterable[State]],
+        initial: State,
+        rules: RuleSet | Mapping[GuardKey, Iterable[Action]],
+    ) -> None:
+        object.__setattr__(self, "input_alphabet", input_alphabet)
+        object.__setattr__(self, "output_alphabet", output_alphabet)
+        super().__init__(input_alphabet, levels, initial, rules)
+
+    def _validate_terminal(self, level: int, action: Action) -> None:
+        if isinstance(action, Emit0):
+            self.output_alphabet.check_leaf(action.symbol)
+        elif isinstance(action, Emit2):
+            self.output_alphabet.check_internal(action.symbol)
+            if not self._branches_in_level(level, action):
+                raise PebbleMachineError(
+                    "output2 branch states must stay in the same level"
+                )
+        elif isinstance(action, (Branch0, Branch2)):
+            raise PebbleMachineError(
+                "branch actions belong to pebble automata, not transducers"
+            )
+        else:
+            raise PebbleMachineError(f"unknown action {action!r}")

@@ -35,7 +35,7 @@ from repro.automata.bitset import bit_indices
 from repro.automata.bottom_up import BottomUpTA
 from repro.errors import PebbleMachineError
 from repro.pebble.automaton import PebbleAutomaton
-from repro.pebble.transducer import Branch0, Branch2, Move, Pick, Place
+from repro.pebble.transducer import Branch0, Branch2, Move
 
 #: Direction tags for exit obligations.
 NONE, LEFT, RIGHT = -1, 0, 1
@@ -52,14 +52,10 @@ Relation = frozenset
 
 def is_walking(automaton: PebbleAutomaton) -> bool:
     """True when the automaton uses one pebble and no place/pick — i.e.
-    it is an alternating tree-walking automaton."""
-    if automaton.k != 1:
-        return False
-    return not any(
-        isinstance(action, (Place, Pick))
-        for actions in automaton.rules.values()
-        for action in actions
-    )
+    it is an alternating tree-walking automaton.  One pebble is enough:
+    validation refuses a place at k = 1 and a pick at level 1, and the
+    level-preserving rewrites (product, trim, quotient) keep ``k``."""
+    return automaton.k == 1
 
 
 def _merge_dir(d1: int, d2: int) -> int | None:

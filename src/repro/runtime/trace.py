@@ -433,10 +433,6 @@ class Tracer:
         """True for real tracers; False for :data:`NULL_TRACER`."""
         return True
 
-    def current_span(self) -> Optional[Span]:
-        """The innermost open span in this context (None outside spans)."""
-        return self._current.get()
-
     def adopt(self, span: Optional[Span]) -> None:
         """Make ``span`` the context's current span.
 
@@ -556,9 +552,6 @@ class _NullTracer:
     def span(self, name: str, *, parent: Optional[Span] = None,
              **attrs: Any) -> _NullSpan:
         return _NULL_SPAN
-
-    def current_span(self) -> Optional[Span]:
-        return None
 
     def adopt(self, span) -> None:
         pass

@@ -221,38 +221,41 @@ def _expansion_cycle(
     return None
 
 
-def _descend_counts(
+def _descent(
     transducer: PebbleTransducer, symbol: str, state, memo: dict
-) -> tuple[int, int]:
-    """How many times the expansion of ``state`` at ``symbol`` descends
-    into the (left, right) child subtree, capped at 2.  Requires the
-    expansion graph to be acyclic (checked first)."""
+) -> tuple:
+    """Where the expansion of ``state`` at ``symbol`` descends:
+    ``(q_left, q_right, n_left, n_right)``, the child states it enters
+    (each ``None`` when that side is not visited) and how many times it
+    enters each side, capped at 2.  The child states are unique when
+    both counts are at most 1 (linearity, checked by the classifier).
+    Requires the expansion graph to be acyclic (checked first)."""
     key = (symbol, state)
     cached = memo.get(key)
     if cached is not None:
         return cached
     actions = transducer.rules.get((symbol, state, ()), ())
-    counts = (0, 0)
+    descent: tuple = (None, None, 0, 0)
     if actions:
         action = actions[0]
         if isinstance(action, Move):
             if action.direction == "down-left":
-                counts = (1, 0)
+                descent = (action.target, None, 1, 0)
             elif action.direction == "down-right":
-                counts = (0, 1)
+                descent = (None, action.target, 0, 1)
             elif action.direction == "stay":
-                counts = _descend_counts(
-                    transducer, symbol, action.target, memo
-                )
+                descent = _descent(transducer, symbol, action.target, memo)
         elif isinstance(action, Emit2):
-            left = _descend_counts(transducer, symbol, action.left, memo)
-            right = _descend_counts(transducer, symbol, action.right, memo)
-            counts = (
-                min(2, left[0] + right[0]),
-                min(2, left[1] + right[1]),
+            left = _descent(transducer, symbol, action.left, memo)
+            right = _descent(transducer, symbol, action.right, memo)
+            descent = (
+                left[0] if left[0] is not None else right[0],
+                left[1] if left[1] is not None else right[1],
+                min(2, left[2] + right[2]),
+                min(2, left[3] + right[3]),
             )
-    memo[key] = counts
-    return counts
+    memo[key] = descent
+    return descent
 
 
 def _copy_violation(
@@ -263,7 +266,7 @@ def _copy_violation(
     memo: dict = {}
     for symbol in sorted(transducer.input_alphabet.symbols):
         for state in sorted(transducer.states, key=repr):
-            left, right = _descend_counts(transducer, symbol, state, memo)
+            _, _, left, right = _descent(transducer, symbol, state, memo)
             if left > 1:
                 return symbol, state, "left"
             if right > 1:
@@ -274,38 +277,6 @@ def _copy_violation(
 # ---------------------------------------------------------------------------
 # fast-td: polynomial triple fixpoint for the linear top-down fragment
 # ---------------------------------------------------------------------------
-
-
-def _placeholders(
-    transducer: PebbleTransducer, symbol: str, state, memo: dict
-) -> tuple:
-    """The child states the expansion descends into: ``(q_left,
-    q_right)``, each ``None`` when that side is not visited.  Unique by
-    linearity (checked by the classifier)."""
-    key = (symbol, state)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    actions = transducer.rules.get((symbol, state, ()), ())
-    holes: tuple = (None, None)
-    if actions:
-        action = actions[0]
-        if isinstance(action, Move):
-            if action.direction == "down-left":
-                holes = (action.target, None)
-            elif action.direction == "down-right":
-                holes = (None, action.target)
-            elif action.direction == "stay":
-                holes = _placeholders(transducer, symbol, action.target, memo)
-        elif isinstance(action, Emit2):
-            left = _placeholders(transducer, symbol, action.left, memo)
-            right = _placeholders(transducer, symbol, action.right, memo)
-            holes = (
-                left[0] if left[0] is not None else right[0],
-                left[1] if left[1] is not None else right[1],
-            )
-    memo[key] = holes
-    return holes
 
 
 def _local_value(
@@ -422,7 +393,7 @@ def typecheck_fast(
     }
     dfa_accepting = dfa.accepting
 
-    holes_memo: dict = {}
+    descent_memo: dict = {}
     value_memo: dict = {}
     initial = transducer.initial
     states_q = sorted(transducer.states, key=repr)
@@ -469,8 +440,8 @@ def typecheck_fast(
                     break
                 for q in states_q:
                     gov.tick()
-                    q_left, q_right = _placeholders(
-                        transducer, symbol, q, holes_memo
+                    q_left, q_right, _, _ = _descent(
+                        transducer, symbol, q, descent_memo
                     )
                     if q_left is None:
                         tree = inhabited.get(p1)

@@ -40,7 +40,6 @@ from repro.errors import (
     ReproError,
     ResourceExhausted,
     SupervisorError,
-    WorkerCrashed,
     XMLParseError,
     exit_code_for,
 )
@@ -55,14 +54,14 @@ IDENTITY_SHEET = (
 
 def test_every_domain_error_is_a_repro_error():
     for cls in (AutomatonError, FaultInjected, ResourceExhausted,
-                SupervisorError, WorkerCrashed, XMLParseError):
+                SupervisorError, XMLParseError):
         assert issubclass(cls, ReproError)
 
 
 @pytest.mark.parametrize(
     ("error", "code"),
     [
-        (WorkerCrashed("died", exitcode=-9), EXIT_CRASHED),
+        (MemoryError(), EXIT_CRASHED),
         (ResourceExhausted("steps"), EXIT_EXHAUSTED),
         (XMLParseError("bad tag"), EXIT_USAGE),
         (SupervisorError("duplicate id"), EXIT_USAGE),

@@ -48,6 +48,17 @@ def _uncached():
         yield
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this tree."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ),
+    }
+
+
 def leaves_all_a(alphabet=ALPHA) -> BottomUpTA:
     return BottomUpTA(
         alphabet=alphabet,
@@ -348,6 +359,34 @@ class TestDegradation:
         assert result.stats["exact_exhausted"]["reason"] == "deadline"
         assert elapsed < 30  # ungoverned, this runs essentially forever
 
+    def test_two_pebble_budget_degrades_instead_of_running_out_of_memory(
+        self,
+    ):
+        # Example 4.2's Q1 has 25 set variables at level 2.  Listing all
+        # 2^25 bit vectors before the first budget step raised
+        # MemoryError, which no fallback catches; the child's address
+        # space is capped so that failure stays inside it.
+        script = """
+            import resource
+            cap = 512 << 20
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+            from repro.data.samples import q1_inverse_dtd, q1_output_even_dtd
+            from repro.lang.xmlql import q1_transducer
+            from repro.typecheck import typecheck
+
+            result = typecheck(
+                q1_transducer(), q1_inverse_dtd(), q1_output_even_dtd(),
+                max_steps=5000, fallback=True,
+            )
+            print(ascii(result.method), result.ok)
+            """
+        process = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(script)],
+            env=_child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert process.returncode == 0, process.stderr[-2000:]
+        assert process.stdout.split() == [ascii(DEGRADED_METHOD), "True"]
+
     def test_timeout_keyword_degrades_and_finishes_quickly(self):
         machine = exponential_transducer(ALPHA)
         tau1 = leaves_all_a()
@@ -475,13 +514,7 @@ class TestStepsAcrossHashSeeds:
 
     @pytest.mark.parametrize("name", sorted(_STEP_SCRIPTS))
     def test_equal_steps_under_two_hash_seeds(self, name):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {
-            **os.environ,
-            "PYTHONPATH": os.pathsep.join(
-                filter(None, [src, os.environ.get("PYTHONPATH")])
-            ),
-        }
+        env = _child_env()
         steps = []
         for seed in ("1", "2"):
             process = subprocess.run(
