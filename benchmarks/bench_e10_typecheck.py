@@ -37,8 +37,8 @@ def test_copy_identity(once):
     result = once(typecheck, machine, leaves_all_a(), leaves_all_a(),
                   method="exact")
     assert result.ok
-    report("E10 copy", [("bad-language states",
-                         result.stats["bad_language_states"]),
+    report("E10 copy", [("offending-language states",
+                         result.stats["offending_states"]),
                         ("seconds", f"{result.stats['seconds']:.3f}")])
 
 
@@ -71,8 +71,8 @@ def test_q2_against_good_dtd(once):
                   method="exact")
     assert result.ok
     report("E10 Q2", [("transducer states", machine.stats()["states"]),
-                      ("bad-language states",
-                       result.stats["bad_language_states"]),
+                      ("offending-language states",
+                       result.stats["offending_states"]),
                       ("seconds", f"{result.stats['seconds']:.2f}")])
 
 

@@ -27,10 +27,15 @@ accepted by both sides, or ``None`` when the product language is empty
 automaton as a :class:`LazyTA`, so the same search decides
 :meth:`~repro.automata.bottom_up.BottomUpTA.product_witness`.
 
-:func:`materialize` is the eager counterpart: every state reachable
-over an alphabet, as explicit rule tables.  The Theorem 4.7 summary
-construction is this applied to the walking summary, so the eager and
-the lazy route drive one automaton.
+:func:`materialize_product` explores the same pairs exhaustively and
+returns them as an explicit automaton over pair ids: the product
+language itself, still built only from pairs reachable from the
+leaves.  The exact route decides ``R ∩ tau1`` with it.
+
+:func:`materialize` is the eager counterpart of a :class:`LazyTA`
+alone: every state reachable over an alphabet, as explicit rule tables.
+The Theorem 4.7 summary construction is this applied to the walking
+summary, so every route drives one automaton.
 """
 
 from __future__ import annotations
@@ -86,6 +91,28 @@ def deterministic_view(ta: BottomUpTA) -> LazyTA:
         return state
 
     return LazyTA(leaf_state, step, ta.accepting.__contains__)
+
+
+#: An explicit rule as the pair searches see it: the symbol, the other
+#: child's state and the targets in ``repr`` order.
+_IndexedRule = tuple[str, Hashable, tuple]
+
+
+def _rule_index(
+    explicit: BottomUpTA,
+) -> tuple[dict[Hashable, list[_IndexedRule]],
+           dict[Hashable, list[_IndexedRule]]]:
+    """``explicit``'s internal rules indexed by their left child state
+    (``by_left``) and by their right child state (``by_right``)."""
+    by_left: dict[Hashable, list[_IndexedRule]] = {}
+    by_right: dict[Hashable, list[_IndexedRule]] = {}
+    for (symbol, p1, p2), targets in explicit.rules.items():
+        if not targets:
+            continue
+        ordered = tuple(sorted(targets, key=repr))
+        by_left.setdefault(p1, []).append((symbol, p2, ordered))
+        by_right.setdefault(p2, []).append((symbol, p1, ordered))
+    return by_left, by_right
 
 
 def lazy_product_witness(
@@ -156,14 +183,7 @@ def lazy_product_witness(
                 report()
                 return hit
 
-    by_left: dict[Hashable, list[tuple[str, Hashable, frozenset]]] = {}
-    by_right: dict[Hashable, list[tuple[str, Hashable, frozenset]]] = {}
-    for (symbol, p1, p2), targets in explicit.rules.items():
-        if not targets:
-            continue
-        by_left.setdefault(p1, []).append((symbol, p2, targets))
-        by_right.setdefault(p2, []).append((symbol, p1, targets))
-
+    by_left, by_right = _rule_index(explicit)
     while queue:
         s1, p1 = queue.popleft()
         tree1 = pairs[(s1, p1)]
@@ -173,7 +193,7 @@ def lazy_product_witness(
                 governor.tick()
                 steps += 1
                 state = step(symbol, s1, s2)
-                for p in sorted(targets, key=repr):
+                for p in targets:
                     hit = offer(state, p, BTree(symbol, tree1, tree2))
                     if hit is not None:
                         report()
@@ -184,13 +204,109 @@ def lazy_product_witness(
                 governor.tick()
                 steps += 1
                 state = step(symbol, s0, s1)
-                for p in sorted(targets, key=repr):
+                for p in targets:
                     hit = offer(state, p, BTree(symbol, tree0, tree1))
                     if hit is not None:
                         report()
                         return hit
     report()
     return None
+
+
+def materialize_product(
+    lazy: LazyTA, explicit: BottomUpTA, alphabet: RankedAlphabet
+) -> BottomUpTA:
+    """The product of ``lazy`` and ``explicit`` over ``alphabet``, on
+    the pairs ``(lazy state, explicit state)`` reachable from the
+    leaves, as an explicit automaton on pair ids ``0 .. n-1``.
+
+    It accepts ``L(lazy) ∩ L(explicit)`` restricted to trees over
+    ``alphabet``: rules of ``explicit`` on other symbols are not
+    followed.  The pairs are those :func:`lazy_product_witness` would
+    discover without stopping, numbered in discovery order: the leaf
+    pairs in symbol order, then breadth-first, each newly found pair
+    against every pair found before it (both ways round) under the
+    explicit rules that license them.  Each distinct lazy transition is
+    evaluated once.
+
+    The ambient governor is charged one step per product transition and
+    one state per pair.
+    """
+    governor = current_governor()
+    lazy_ids: dict[LazyState, int] = {}
+    lazy_states: list[LazyState] = []
+    pair_ids: dict[tuple[int, Hashable], int] = {}
+    pairs: list[tuple[int, Hashable]] = []
+    queue: deque[int] = deque()
+    transitions: dict[tuple[str, int, int], int] = {}
+
+    def lazy_id(state: LazyState) -> int:
+        state_id = lazy_ids.get(state)
+        if state_id is None:
+            state_id = lazy_ids[state] = len(lazy_states)
+            lazy_states.append(state)
+        return state_id
+
+    def intern(state_id: int, p: Hashable) -> int:
+        key = (state_id, p)
+        pair_id = pair_ids.get(key)
+        if pair_id is None:
+            governor.add_states()
+            pair_id = pair_ids[key] = len(pairs)
+            pairs.append(key)
+            queue.append(pair_id)
+        return pair_id
+
+    leaf_rules: dict[str, set[int]] = {}
+    for symbol in sorted(explicit.leaf_rules):
+        if symbol not in alphabet.leaves:
+            continue
+        governor.tick()
+        state_id = lazy_id(lazy.leaf_state(symbol))
+        leaf_rules[symbol] = {
+            intern(state_id, p)
+            for p in sorted(explicit.leaf_rules[symbol], key=repr)
+        }
+
+    rules: dict[tuple[str, int, int], set[int]] = {}
+
+    def add(symbol: str, left: int, right: int, targets: tuple) -> None:
+        governor.tick()
+        s1, s2 = pairs[left][0], pairs[right][0]
+        state_id = transitions.get((symbol, s1, s2))
+        if state_id is None:
+            state_id = transitions[(symbol, s1, s2)] = lazy_id(
+                lazy.step(symbol, lazy_states[s1], lazy_states[s2])
+            )
+        rules[(symbol, left, right)] = {intern(state_id, p) for p in targets}
+
+    internals = alphabet.internals
+    by_left, by_right = _rule_index(explicit)
+    processed: dict[Hashable, list[int]] = {}
+    while queue:
+        current = queue.popleft()
+        p1 = pairs[current][1]
+        processed.setdefault(p1, []).append(current)
+        for symbol, p2, targets in by_left.get(p1, ()):
+            if symbol in internals:
+                for other in processed.get(p2, ()):
+                    add(symbol, current, other, targets)
+        for symbol, p0, targets in by_right.get(p1, ()):
+            if symbol in internals:
+                for other in processed.get(p0, ()):
+                    if other != current:
+                        add(symbol, other, current, targets)
+    accepting = explicit.accepting
+    return BottomUpTA(
+        alphabet=alphabet,
+        states=range(len(pairs)),
+        leaf_rules=leaf_rules,
+        rules=rules,
+        accepting=[
+            pair_id for pair_id, (state_id, p) in enumerate(pairs)
+            if p in accepting and lazy.is_accepting(lazy_states[state_id])
+        ],
+    )
 
 
 def materialize(lazy: LazyTA, alphabet: RankedAlphabet) -> BottomUpTA:
@@ -201,7 +317,11 @@ def materialize(lazy: LazyTA, alphabet: RankedAlphabet) -> BottomUpTA:
     order, then breadth-first, each newly found state against every
     state found before it (both ways round) under every internal symbol
     in order.  Each transition is evaluated once.
+
+    The ambient governor is charged one step per transition and one
+    state per state found.
     """
+    governor = current_governor()
     ids: dict[LazyState, int] = {}
     states: list[LazyState] = []
     queue: deque[int] = deque()
@@ -209,15 +329,17 @@ def materialize(lazy: LazyTA, alphabet: RankedAlphabet) -> BottomUpTA:
     def intern(state: LazyState) -> int:
         state_id = ids.get(state)
         if state_id is None:
+            governor.add_states()
             state_id = ids[state] = len(states)
             states.append(state)
             queue.append(state_id)
         return state_id
 
-    leaf_rules = {
-        symbol: {intern(lazy.leaf_state(symbol))}
-        for symbol in sorted(alphabet.leaves)
-    }
+    def leaf(symbol: str) -> set[int]:
+        governor.tick()
+        return {intern(lazy.leaf_state(symbol))}
+
+    leaf_rules = {symbol: leaf(symbol) for symbol in sorted(alphabet.leaves)}
     internals = sorted(alphabet.internals)
     step = lazy.step
     rules: dict[tuple[str, int, int], set[int]] = {}
@@ -230,6 +352,7 @@ def materialize(lazy: LazyTA, alphabet: RankedAlphabet) -> BottomUpTA:
                 for left, right in ((current, other), (other, current)):
                     key = (symbol, left, right)
                     if key not in rules:
+                        governor.tick()
                         rules[key] = {intern(
                             step(symbol, states[left], states[right])
                         )}

@@ -726,20 +726,6 @@ class MemoCache:
                 self._bytes -= evicted_size
                 self.evictions += 1
 
-    def invalidate(self, key: Hashable) -> bool:
-        """Evict ``key`` if present (the quarantine path).
-
-        Unlike LRU eviction this is a *correctness* action — the audit
-        found the entry's lineage untrustworthy — so it is counted
-        separately from ``evictions``.
-        """
-        with self._lock:
-            entry = self._table.pop(key, None)
-            if entry is None:
-                return False
-            self._bytes -= entry[1]
-            return True
-
     def clear(self) -> None:
         """Drop every entry (counters are kept; see :meth:`reset_stats`)."""
         with self._lock:

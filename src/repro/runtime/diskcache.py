@@ -494,28 +494,17 @@ class DiskCache:
         self._index.pop(key_bytes, None)
         return present
 
-    def invalidate(self, key: str) -> bool:
-        """Tombstone ``key``: dropped from the index *and* superseded on
-        disk, durably, so no future scan — an incremental refresh, a
-        startup recovery, or a brand-new instance over the same
-        directory — can re-serve the old record.  The tombstone goes
-        into a fresh segment (created now, hence sorting after every
-        segment holding the dead record) and is fsynced immediately:
-        quarantine is a correctness action, not an optimisation.
-        Returns ``True`` when the key was live."""
-        with self._lock:
-            self._close_writer()
-            present = self._tombstone(key.encode("utf-8"))
-            self.flush()
-            if present:
-                self.quarantined += 1
-            return present
-
     def quarantine(self, keys: Any, reason: str = "") -> int:
         """Tombstone every key in ``keys`` and journal the action.
 
-        The batch shares one fresh tombstone segment and one fsync, then
-        one line is appended to :attr:`quarantine_path`::
+        Each key is dropped from the index *and* superseded on disk,
+        durably, so no future scan — an incremental refresh, a startup
+        recovery, or a brand-new instance over the same directory — can
+        re-serve the old record.  The tombstones go into a fresh segment
+        (created now, hence sorting after every segment holding a dead
+        record) and are fsynced at once, in one batch: quarantine is a
+        correctness action, not an optimisation.  Then one line is
+        appended to :attr:`quarantine_path`::
 
             {"schema": "repro-quarantine/v1", "at": ..., "pid": ...,
              "reason": ..., "keys": [...], "evicted": N}

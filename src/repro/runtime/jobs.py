@@ -45,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import traceback
 from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
@@ -61,6 +62,7 @@ from repro.errors import (
     ReproError,
     ResourceExhausted,
     SupervisorError,
+    TreeError,
 )
 from repro.lang import apply_stylesheet, parse_stylesheet, xslt_to_transducer
 from repro.runtime.cache import quarantine_keys
@@ -319,18 +321,32 @@ def _job_typecheck(params: Mapping) -> dict:
         fallback=bool(params.get("fallback", False)),
         audit=params.get("audit"),
     )
-    outcome = result.to_jsonable()
-    outcome["status"] = OK if result.ok else TYPE_ERROR
     audit = result.stats.get("audit")
-    if isinstance(audit, Mapping) and audit.get("status") == "failed":
-        # The audit refuted this verdict: escalate, and quarantine both
-        # memo tiers *in this process* (it owns them), so the
-        # resubmission recomputes from first principles.
-        outcome["status"] = MISCOMPILED
-        outcome["quarantine"] = quarantine_keys(
-            audit.get("quarantine_keys") or (),
-            reason=f"audit refuted a {result.method} verdict",
-        )
+    if not (isinstance(audit, Mapping) and audit.get("status") == "failed"):
+        outcome = result.to_jsonable()
+        outcome["status"] = OK if result.ok else TYPE_ERROR
+        return outcome
+    # The audit refuted this verdict: quarantine both memo tiers *in
+    # this process* (it owns them), so the resubmission recomputes from
+    # first principles — before serializing, since a refuted
+    # counterexample need not even be a document encoding.
+    quarantine = quarantine_keys(
+        audit.get("quarantine_keys") or (),
+        reason=f"audit refuted a {result.method} verdict",
+    )
+    try:
+        outcome = result.to_jsonable()
+    except TreeError as error:
+        outcome = replace(
+            result, counterexample_input=None, counterexample_output=None
+        ).to_jsonable()
+        for name in ("counterexample_input", "counterexample_output"):
+            tree = getattr(result, name)
+            if tree is not None:
+                outcome[name] = str(tree)
+        outcome["counterexample_error"] = f"does not decode: {error}"
+    outcome["status"] = MISCOMPILED
+    outcome["quarantine"] = quarantine
     return outcome
 
 

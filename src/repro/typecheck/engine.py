@@ -8,7 +8,10 @@ Two engines are provided:
   type, build the product pebble automaton ``A`` of Proposition 4.6
   (``inst(A) = {t | T(t) ∩ ¬tau2 ≠ ∅}``), translate ``A`` into a regular
   tree automaton via the Theorem 4.7 pipeline, intersect with the input
-  type, and test emptiness.  Any witness is a genuine counterexample,
+  type, and test emptiness.  For one pebble the intersection is built
+  directly, from the walking summary of ``A`` and the input type, so
+  only the part of ``A``'s language the input type reaches is ever
+  regularized.  Any witness is a genuine counterexample,
   and a concrete bad output is recovered through the Proposition 3.8
   output automaton.  This is decidable but non-elementary (Theorem 4.8);
   it is intended for machines with few pebbles and small state counts —
@@ -49,15 +52,18 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional, Union
 
+from repro.automata.alternating import materialize_product
 from repro.automata.bottom_up import BottomUpTA
 from repro.automata.convert import bu_to_td
 from repro.automata.from_dtd import dtd_to_automaton, specialized_to_automaton
 from repro.automata.top_down import TopDownTA
 from repro.errors import ResourceExhausted, TypecheckError
+from repro.pebble.automaton import PebbleAutomaton
 from repro.pebble.output_automaton import output_language
 from repro.pebble.product import transducer_times_automaton
-from repro.pebble.to_regular import pebble_automaton_to_ta
+from repro.pebble.to_regular import pebble_automaton_to_ta, trim_quotient
 from repro.pebble.transducer import PebbleTransducer
+from repro.pebble.two_way import walking_summary
 from repro.runtime.cache import (
     cache_stats,
     memoized,
@@ -499,8 +505,7 @@ def _typecheck_dispatch(
         )
 
     # resolve the route.  method="exact" bypasses the classifier
-    # entirely — it is the pre-routing code path, byte for byte (no
-    # extra spans, no routing stats).
+    # entirely (no route:classify span, no routing stats).
     decision = None
     route = method
     if method == "auto":
@@ -609,28 +614,84 @@ def _outputs_outside(
     return outputs.intersection(not_tau2)
 
 
+def walking_product(
+    transducer: PebbleTransducer,
+    input_type: TypeLike,
+    output_type: TypeLike,
+) -> tuple[BottomUpTA, BottomUpTA, PebbleAutomaton]:
+    """The prologue of every one-pebble check: ``tau1`` coerced to the
+    input alphabet, ``tau2`` coerced to the output alphabet, and the
+    Proposition 4.6 product with ``¬tau2``, trimmed and quotiented.
+
+    The product is an alternating tree-walking automaton; the caller
+    decides emptiness of its walking summary
+    (:func:`~repro.pebble.two_way.walking_summary`) against ``tau1``.
+    """
+    governor = current_governor()
+    tracer = current_tracer()
+    with tracer.span("coerce-input-type"):
+        tau1 = as_automaton(input_type, transducer.input_alphabet)
+    tau2, not_tau2 = complement_output_type(transducer, output_type)
+    with governor.phase("transducer-product"), \
+            tracer.span("transducer-product"):
+        product = transducer_times_automaton(transducer, not_tau2)
+    with governor.phase("pebble-trim"), tracer.span("pebble-trim"):
+        walking = trim_quotient(product)
+    return tau1, tau2, walking
+
+
 def _typecheck_exact(
     transducer: PebbleTransducer,
     input_type: TypeLike,
     output_type: TypeLike,
     governor: Optional[ResourceGovernor] = None,
 ) -> TypecheckResult:
+    """Theorem 4.4: a witness of ``R ∩ tau1``, ``R`` the inputs with an
+    output outside ``tau2``.
+
+    For one pebble the product is a tree-walking automaton, and
+    ``R ∩ tau1`` is built directly as the pairs (summary relation,
+    ``tau1`` state) reachable from the leaves
+    (:func:`~repro.automata.alternating.materialize_product`): no
+    summary relation that no tree of ``tau1`` reaches is computed.  It
+    is memoized as one op, ``pebble.summary-product``, on the product's
+    derivation and ``tau1``.  With more pebbles ``R`` is regularized
+    whole (Theorem 4.7) and intersected with ``tau1``.
+    """
     started = time.perf_counter()
+    gov = current_governor()
     tracer = current_tracer()
-    with tracer.span("coerce-input-type"):
-        tau1 = as_automaton(input_type, transducer.input_alphabet)
-    tau2, not_tau2 = complement_output_type(transducer, output_type)
-    bad = _bad_inputs(transducer, not_tau2)
-    with current_governor().phase("intersect-input-type"), \
-            tracer.span("intersect-input-type"):
-        # align alphabets before intersecting (types may use extra symbols)
-        tau1 = as_automaton(tau1, bad.alphabet)
-        bad = as_automaton(bad, tau1.alphabet)
-        offending = bad.intersection(tau1).trimmed()
-    stats = {
-        "bad_language_states": len(bad.states),
-        "offending_states": len(offending.states),
-    }
+    if transducer.k == 1:
+        tau1, tau2, walking = walking_product(
+            transducer, input_type, output_type
+        )
+        with gov.phase("walking-summary"), tracer.span("walking-summary"):
+            offending = memoized(
+                "pebble.summary-product", (walking, tau1),
+                lambda: materialize_product(
+                    walking_summary(walking), tau1, walking.alphabet
+                ),
+            )
+        stats = {
+            "product": walking.stats(),
+            "offending_states": len(offending.states),
+        }
+    else:
+        with tracer.span("coerce-input-type"):
+            tau1 = as_automaton(input_type, transducer.input_alphabet)
+        tau2, not_tau2 = complement_output_type(transducer, output_type)
+        bad = _bad_inputs(transducer, not_tau2)
+        with gov.phase("intersect-input-type"), \
+                tracer.span("intersect-input-type"):
+            # align alphabets before intersecting (types may use extra
+            # symbols)
+            tau1 = as_automaton(tau1, bad.alphabet)
+            bad = as_automaton(bad, tau1.alphabet)
+            offending = bad.intersection(tau1).trimmed()
+        stats = {
+            "bad_language_states": len(bad.states),
+            "offending_states": len(offending.states),
+        }
     return route_verdict(
         "exact", transducer, tau2, stats, started, governor,
         offending.witness,

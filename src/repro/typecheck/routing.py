@@ -24,11 +24,11 @@ grounded fast paths documented in ``docs/algorithms.md``:
   *lazy*: :func:`typecheck_lazy` builds the Proposition 4.6 product
   ``A`` (``inst(A) = {t | T(t) ∩ ¬tau2 ≠ ∅}``) but never materializes
   its regular language.  Instead the walking summary of
-  :mod:`repro.pebble.two_way` — the automaton the Theorem 4.4 pipeline
-  materializes — is evaluated on demand, only for the states
-  co-reachable with the input type, via
+  :mod:`repro.pebble.two_way` is evaluated on demand, only for the
+  states co-reachable with the input type, via
   :func:`repro.automata.alternating.lazy_product_witness` — the search
-  stops at the first offending tree.  Applicable to every one-pebble
+  stops at the first offending tree, where the Theorem 4.4 pipeline
+  builds every reachable pair.  Applicable to every one-pebble
   transducer.
 
 All routes are *exact*: an ``ok`` is a proof, a counterexample is
@@ -46,8 +46,6 @@ from typing import Optional
 
 from repro.automata.alternating import lazy_product_witness
 from repro.errors import TypecheckError
-from repro.pebble.product import transducer_times_automaton
-from repro.pebble.to_regular import trim_quotient
 from repro.pebble.transducer import Emit0, Emit2, Move, PebbleTransducer
 from repro.pebble.two_way import walking_summary
 from repro.runtime.cache import memoized
@@ -57,8 +55,8 @@ from repro.trees.ranked import BTree
 from repro.typecheck.engine import (
     TypecheckResult,
     as_automaton,
-    complement_output_type,
     route_verdict,
+    walking_product,
 )
 from repro.typecheck.stylesheet import (
     STYLESHEET,
@@ -509,31 +507,24 @@ def typecheck_lazy(
     """Decide ``T(tau1) ⊆ tau2`` by lazy backward inference.
 
     Builds the Proposition 4.6 product ``A`` (trimmed and
-    bisimulation-quotiented) but, instead of materializing its walking
-    summary (:func:`~repro.pebble.two_way.walking_summary`) as the
-    Theorem 4.4 pipeline does, explores only the summary relations
-    co-reachable with ``tau1`` — the
-    :func:`~repro.automata.alternating.lazy_product_witness` search,
-    which computes each on demand.  Exact for every one-pebble
-    transducer; the search result is memoized like the eager pipeline's
-    constructions.
+    bisimulation-quotiented, :func:`~repro.typecheck.engine.walking_product`)
+    and searches the pairs of its walking summary
+    (:func:`~repro.pebble.two_way.walking_summary`) and ``tau1`` —
+    :func:`~repro.automata.alternating.lazy_product_witness`, which
+    computes each summary relation on demand and stops at the first
+    offending tree, where the Theorem 4.4 pipeline builds every
+    reachable pair.  Exact for every one-pebble transducer; the search
+    result is memoized like the pipeline's constructions.
     """
     started = time.perf_counter()
-    gov = current_governor()
-    tracer = current_tracer()
     if transducer.k != 1:
         raise TypecheckError(
             "lazy backward inference needs a single head; this "
             f"transducer uses {transducer.k} pebbles"
         )
-    with tracer.span("coerce-input-type"):
-        tau1 = as_automaton(input_type, transducer.input_alphabet)
-    tau2, not_tau2 = complement_output_type(transducer, output_type)
-    with gov.phase("transducer-product"), tracer.span("transducer-product"):
-        product = transducer_times_automaton(transducer, not_tau2)
-    with gov.phase("pebble-trim"), tracer.span("pebble-trim"):
-        walking = trim_quotient(product)
-
+    tau1, tau2, walking = walking_product(
+        transducer, input_type, output_type
+    )
     counts: dict = {}
 
     def search() -> Optional[BTree]:
@@ -544,7 +535,7 @@ def typecheck_lazy(
         counts["relations"] = counts.pop("transitions")
         return witness
 
-    with gov.phase("lazy-pairs"):
+    with current_governor().phase("lazy-pairs"):
         witness = memoized(
             "routing.lazy-backward", (walking, tau1), search
         )

@@ -25,13 +25,14 @@ def pathological_typecheck():
     """Factory for supervised typecheck jobs whose *exact* run blows up.
 
     A copying stylesheet over a choice-heavy DTD (every element allows
-    every other, E05-style exponential content models): the Theorem 4.7
-    pipeline takes several seconds and >100 MB — far past any small hard
-    limit — while carrying no cooperative budget of its own.
+    every other, E05-style exponential content models): at the default
+    ``n`` the exact check takes over 15 s and about 190 MB on one CPU
+    of a 2-vCPU host — five times past the small hard limits the tests
+    set — while carrying no cooperative budget of its own.
     """
     from repro.runtime.supervisor import JobSpec
 
-    def build(job_id: str, n: int = 14) -> JobSpec:
+    def build(job_id: str, n: int = 26) -> JobSpec:
         rules = ["r := " + ".".join(f"s{i}*" for i in range(n))]
         for i in range(n):
             rules.append(

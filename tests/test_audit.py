@@ -12,6 +12,7 @@ independently certifies.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 
 import pytest
 from hypothesis import given, settings
@@ -33,12 +34,11 @@ from repro.errors import TypecheckError
 from repro.lang import q1_transducer, q2_stylesheet, xslt_to_transducer
 from repro.runtime.cache import (
     GLOBAL_CACHE,
-    MemoCache,
     quarantine_keys,
     tracked_keys,
 )
 from repro.runtime.faults import FaultPlan, FaultSpec, injected_faults
-from repro.runtime.jobs import execute_job
+from repro.runtime.jobs import execute_classified, execute_job
 from repro.pebble import copy_transducer
 from repro.trees import BTree, RankedAlphabet
 from repro.typecheck import typecheck
@@ -310,6 +310,30 @@ class TestFlipFaultEscalation:
             quarantine["memory_evicted"] >= quarantine["keys"] or \
             not GLOBAL_CACHE.enabled
 
+    def test_refuted_undecodable_counterexample_is_miscompiled(
+        self, monkeypatch
+    ):
+        """A refuted witness need not be a document encoding: the job is
+        still escalated and quarantined, not ended by the serializer."""
+        def refuted(*args, **kwargs):
+            return TypecheckResult(
+                ok=False, method="exact",
+                counterexample_input=BTree("|"),
+                stats={"audit": {"status": FAILED,
+                                 "quarantine_keys": ["audit-undecodable"]}},
+            )
+
+        # the package ``repro`` exports the function under the module's
+        # name, so the module is looked up by its full name
+        monkeypatch.setattr(
+            importlib.import_module("repro.typecheck"), "typecheck", refuted
+        )
+        outcome = execute_classified(self.payload())
+        assert outcome["status"] == "miscompiled"
+        assert outcome["quarantine"]["purged"] is True
+        assert outcome["counterexample_input"] == str(BTree("|"))
+        assert "does not decode" in outcome["counterexample_error"]
+
     def test_without_fault_the_same_job_is_ok(self):
         outcome = execute_job(self.payload())
         assert outcome["status"] == "ok"
@@ -318,18 +342,6 @@ class TestFlipFaultEscalation:
 
 
 class TestQuarantinePrimitives:
-    def test_memocache_invalidate(self):
-        cache = MemoCache(max_entries=8)
-        cache.store("k1", "v1")
-        cache.store("k2", "v2")
-        assert cache.invalidate("k1") is True
-        assert cache.invalidate("k1") is False
-        assert cache.lookup("k1") is MemoCache._MISS
-        assert cache.lookup("k2") == "v2"
-        assert cache.stats()["entries"] == 1
-        # a correctness eviction is not an LRU eviction
-        assert cache.stats()["evictions"] == 0
-
     def test_tracked_keys_collects_and_nests(self):
         machine = copy_transducer(ALPHA)
         tau = leaves_in({"a"})

@@ -87,7 +87,7 @@ from repro.runtime.governor import (
 )
 from repro.runtime.trace import Tracer, tracing
 from repro.trees import BTree, RankedAlphabet, encoded_alphabet
-from repro.typecheck import typecheck, typecheck_lazy
+from repro.typecheck import bad_input_language, typecheck, typecheck_lazy
 from repro.typecheck.engine import as_automaton, complement_output_type
 from repro.xmlio import SpecializedDTD, parse_dtd
 
@@ -163,9 +163,12 @@ def _lazy(*check, max_steps=None):
 
 class TestDerivationKeys:
     @pytest.mark.parametrize("method,op", [
-        ("exact", "pebble.to_regular"),
+        ("exact", "pebble.summary-product"),
         pytest.param("lazy", "routing.lazy-backward",
                      id="lazy-routing.lazy-backward"),
+        # the whole Theorem 4.7 language, which only
+        # bad_input_language and inverse_type build for one pebble
+        ("bad-inputs", "pebble.to_regular"),
     ])
     def test_memo_produced_automata_are_never_rehashed(
         self, monkeypatch, method, op
@@ -178,10 +181,14 @@ class TestDerivationKeys:
         monkeypatch.setattr(cache_module, "_pebble_fingerprint", spy)
         with tracked_keys() as keys:
             if method == "lazy":
-                result = _lazy(*_wrap_job(WRAP_BAD))
+                failed = not _lazy(*_wrap_job(WRAP_BAD)).ok
+            elif method == "bad-inputs":
+                machine, _, tau2 = _wrap_job(WRAP_BAD)
+                failed = not bad_input_language(machine, tau2).is_empty()
             else:
-                result = typecheck(*_wrap_job(WRAP_BAD), method=method)
-        assert not result.ok
+                failed = not typecheck(*_wrap_job(WRAP_BAD),
+                                       method=method).ok
+        assert failed
         assert any(key.startswith(op + "|drv:") for key in keys)
         assert any(
             key.startswith("pebble.trim-quotient|drv:") for key in keys

@@ -405,10 +405,10 @@ def _tombstone_cache(tmp_path) -> DiskCache:
     return cache
 
 
-def test_invalidate_is_a_durable_tombstone(tmp_path):
+def test_quarantine_is_a_durable_tombstone(tmp_path):
     cache = _tombstone_cache(tmp_path)
-    assert cache.invalidate("bad") is True
-    assert cache.invalidate("bad") is False  # already dead
+    assert cache.quarantine(["bad"]) == 1
+    assert cache.quarantine(["bad"]) == 0  # already dead
     assert cache.get("bad", "MISS") == "MISS"
     assert cache.get("keep") == "good"
     assert cache.stats()["quarantined"] == 1
@@ -423,9 +423,9 @@ def test_invalidate_is_a_durable_tombstone(tmp_path):
     assert len(fresh) == 1
 
 
-def test_reput_after_invalidate_supersedes_the_tombstone(tmp_path):
+def test_reput_after_quarantine_supersedes_the_tombstone(tmp_path):
     cache = _tombstone_cache(tmp_path)
-    cache.invalidate("bad")
+    cache.quarantine(["bad"])
     assert cache.put("bad", "recomputed")  # index was popped: a real put
     assert cache.get("bad") == "recomputed"
     cache.close()
@@ -455,7 +455,7 @@ def test_quarantine_batch_tombstones_and_journals(tmp_path):
 
 def test_compaction_drops_tombstones_and_dead_records(tmp_path):
     cache = _tombstone_cache(tmp_path)
-    cache.invalidate("bad")
+    cache.quarantine(["bad"])
     cache.close()
 
     compactor = DiskCache(tmp_path / "cache")

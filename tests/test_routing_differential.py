@@ -5,7 +5,9 @@ triple fixpoint, and lazy backward inference — implement one decision
 problem.  This suite drives all applicable routes over random
 transducer/type pairs and the worked example machines and asserts:
 
-* the boolean verdicts agree (``method="auto"`` included);
+* the boolean verdicts agree (``method="auto"`` included), and equal
+  the emptiness of ``bad_input_language(m, tau2) ∩ tau1``: the eager
+  Theorem 4.7 language, kept as a reference the routes do not build;
 * every counterexample is *valid* evidence, not just agreement: the
   input belongs to the input type, the transducer can produce the
   recorded output on it, and that output violates the output type;
@@ -33,7 +35,13 @@ from repro.pebble.output_automaton import output_language
 from repro.pebble.transducer import Emit0, Emit2, Move, PebbleTransducer
 from repro.runtime.cache import cache_disabled
 from repro.trees.alphabet import RankedAlphabet
-from repro.typecheck import classify, typecheck, typecheck_fast, typecheck_lazy
+from repro.typecheck import (
+    bad_input_language,
+    classify,
+    typecheck,
+    typecheck_fast,
+    typecheck_lazy,
+)
 from repro.typecheck.engine import as_automaton
 from repro.xmlio import parse_dtd
 
@@ -167,9 +175,18 @@ def run_all_routes(transducer, input_type, output_type):
     return decision, results
 
 
+def eager_verdict(transducer, input_type, output_type) -> bool:
+    """Theorem 4.4 on the eager language: ``True`` when no input of
+    ``input_type`` is in ``bad_input_language``."""
+    bad = bad_input_language(transducer, output_type)
+    tau1 = as_automaton(input_type, bad.alphabet)
+    return as_automaton(bad, tau1.alphabet).intersection(tau1).is_empty()
+
+
 def assert_routes_agree(transducer, input_type, output_type):
     decision, results = run_all_routes(transducer, input_type, output_type)
     verdicts = {name: result.ok for name, result in results.items()}
+    verdicts["eager"] = eager_verdict(transducer, input_type, output_type)
     assert len(set(verdicts.values())) == 1, (decision, verdicts)
     for result in results.values():
         if not result.ok:

@@ -19,8 +19,14 @@ import pytest
 
 from repro.automata import BottomUpTA
 from repro.errors import ResourceExhausted
-from repro.pebble import copy_transducer, evaluate
+from repro.pebble import (
+    copy_transducer,
+    evaluate,
+    transducer_times_automaton,
+    walking_automaton_to_ta,
+)
 from repro.pebble.builders import exponential_transducer
+from repro.pebble.to_regular import trim_quotient
 from repro.runtime import (
     Budget,
     Deadline,
@@ -32,7 +38,11 @@ from repro.runtime import (
 )
 from repro.trees import BTree, RankedAlphabet
 from repro.typecheck import typecheck
-from repro.typecheck.engine import DEGRADED_METHOD, as_automaton
+from repro.typecheck.engine import (
+    DEGRADED_METHOD,
+    as_automaton,
+    complement_output_type,
+)
 
 ALPHA = RankedAlphabet(leaves={"a", "b"}, internals={"f", "g"})
 
@@ -226,6 +236,25 @@ class TestGovernedPipeline:
             "intersect-input-type",
             "witness",
         } or info.value.phase.startswith("regularize:level")
+
+    def test_walking_summary_charges_the_governor(self):
+        """The eager summary construction (``inverse_type``,
+        ``bad_input_language``) stops at a budget like the lazy one."""
+        machine = exponential_transducer(ALPHA)
+        _, not_tau2 = complement_output_type(machine, leaves_all_a(
+            RankedAlphabet(leaves={"a", "b"}, internals={"f", "g", "z"})
+        ))
+        walking = trim_quotient(transducer_times_automaton(machine, not_tau2))
+        governor = ResourceGovernor()
+        with governed(governor):
+            language = walking_automaton_to_ta(walking)
+        transitions = len(language.leaf_rules) + len(language.rules)
+        assert governor.steps >= transitions
+        assert governor.states >= len(language.states)
+        budgeted = ResourceGovernor(budget=Budget(max_steps=transitions - 1))
+        with governed(budgeted), pytest.raises(ResourceExhausted) as info:
+            walking_automaton_to_ta(walking)
+        assert info.value.reason == "steps"
 
     def test_determinization_respects_state_budget(self):
         tau = leaves_all_a()
