@@ -515,12 +515,11 @@ def run_overload_baseline() -> dict:
 
 
 def run_routing_baseline() -> dict:
-    """The fast routes against the exact pipeline on the route-eligible
-    example machines — the ``routing`` section.
+    """The fast route against the exact pipeline on the example
+    machines — the ``routing`` section.
 
     Every applicable route (``exact`` always; ``fast`` through
-    ``typecheck_fast`` when the classifier picks ``fast-td``, ``lazy``
-    through ``typecheck_lazy`` for every one-pebble machine) runs cold
+    ``typecheck_fast`` when the classifier picks ``fast-td``) runs cold
     (cache cleared first, best of two) on each case.  Verdict agreement
     across routes is a hard gate — the sweep fails on any disagreement
     — and the committed per-route walls let a revision diff show when a
@@ -533,12 +532,7 @@ def run_routing_baseline() -> dict:
         rotation_transducer,
     )
     from repro.trees.alphabet import RankedAlphabet
-    from repro.typecheck import (
-        classify,
-        typecheck,
-        typecheck_fast,
-        typecheck_lazy,
-    )
+    from repro.typecheck import classify, typecheck, typecheck_fast
 
     def universal(alphabet) -> BottomUpTA:
         return BottomUpTA(
@@ -579,8 +573,6 @@ def run_routing_baseline() -> dict:
             routes = {"exact": functools.partial(typecheck, method="exact")}
             if decision.route == "fast-td":
                 routes["fast"] = typecheck_fast
-            if machine.k == 1:
-                routes["lazy"] = typecheck_lazy
             runs = {}
             for method, check in routes.items():
                 walls = []
@@ -597,9 +589,7 @@ def run_routing_baseline() -> dict:
             verdicts = {run["ok"] for run in runs.values()}
             agree = len(verdicts) == 1
             agreements.append(agree)
-            routed = {"fast-td": "fast", "lazy-backward": "lazy"}.get(
-                decision.route
-            )
+            routed = "fast" if decision.route == "fast-td" else None
             routed_wall = runs[routed]["seconds"] if routed else None
             records.append({
                 "name": name,

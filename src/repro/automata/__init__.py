@@ -1,6 +1,6 @@
 """Regular tree automata — the paper's notion of *type* (Section 2.3)."""
 
-from repro.automata.alternating import LazyTA, lazy_product_witness
+from repro.automata.alternating import LazyTA, explore_product
 from repro.automata.bottom_up import BottomUpTA
 from repro.automata.convert import bu_to_td, td_to_bu
 from repro.automata.from_dtd import dtd_to_automaton, specialized_to_automaton
@@ -13,7 +13,7 @@ from repro.automata.top_down import TopDownTA
 
 __all__ = [
     "LazyTA",
-    "lazy_product_witness",
+    "explore_product",
     "BottomUpTA",
     "bu_to_td",
     "td_to_bu",

@@ -1,4 +1,4 @@
-"""On-the-fly emptiness for implicitly presented tree automata.
+"""Product emptiness against implicitly presented tree automata.
 
 Frisch–Hosoya ("Towards Practical Typechecking for Macro Tree
 Transducers", PAPERS.md) observe that backward type inference need not
@@ -10,27 +10,24 @@ at the first accepting pair.
 :class:`LazyTA` is that implicit presentation — a deterministic
 bottom-up automaton given as callables (leaf value, binary step,
 acceptance predicate) instead of materialized rule tables.  The states
-may be arbitrarily expensive to compute (in the routing layer they are
+may be arbitrarily expensive to compute (in the exact route they are
 the subsumption-minimal summary relations of
-:mod:`repro.pebble.two_way`); :func:`lazy_product_witness` guarantees
-each one is computed at most once, and only if some tree of the paired
+:mod:`repro.pebble.two_way`); :func:`explore_product` guarantees each
+one is computed at most once, and only if some tree of the paired
 explicit automaton actually reaches it.
 
-:func:`lazy_product_witness` explores the product of a :class:`LazyTA`
-with an explicit :class:`~repro.automata.bottom_up.BottomUpTA`
-bottom-up, breadth-first over *pairs* ``(lazy state, explicit state)``,
-carrying a representative tree per pair.  It returns the first tree
-accepted by both sides, or ``None`` when the product language is empty
-— without ever enumerating the unreachable part of either automaton.
+:func:`explore_product` explores the product of a :class:`LazyTA` with
+an explicit :class:`~repro.automata.bottom_up.BottomUpTA` bottom-up,
+breadth-first over *pairs* ``(lazy state, explicit state)``, and stops
+at the first pair both sides accept.  It returns the pairs it explored
+as an explicit automaton whose ``witness()`` is a tree of the product
+language, or ``None`` when that language is empty — without ever
+enumerating the unreachable part of either automaton.  The exact route
+decides ``R ∩ tau1`` with it.
 
 :func:`deterministic_view` presents an explicit complete deterministic
-automaton as a :class:`LazyTA`, so the same search decides
+automaton as a :class:`LazyTA`, so the same explorer decides
 :meth:`~repro.automata.bottom_up.BottomUpTA.product_witness`.
-
-:func:`materialize_product` explores the same pairs exhaustively and
-returns them as an explicit automaton over pair ids: the product
-language itself, still built only from pairs reachable from the
-leaves.  The exact route decides ``R ∩ tau1`` with it.
 
 :func:`materialize` is the eager counterpart of a :class:`LazyTA`
 alone: every state reachable over an alphabet, as explicit rule tables.
@@ -42,15 +39,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional
+from typing import Callable, Hashable
 
 from repro.automata.bottom_up import BottomUpTA
 from repro.errors import AutomatonError
 from repro.runtime.governor import current_governor
 from repro.trees.alphabet import RankedAlphabet
-from repro.trees.ranked import BTree
 
-#: A lazy automaton state — anything hashable (the routing layer uses
+#: A lazy automaton state — anything hashable (the walking summary uses
 #: frozensets of packed summary pairs).
 LazyState = Hashable
 
@@ -65,8 +61,9 @@ class LazyTA:
     acceptance predicate.  All three must be pure: the functions below
     evaluate each distinct transition once and reuse its state.
     Symbols outside the machine's alphabet must still return *some*
-    state (typically a rejecting sink) — the search drives symbols from
-    the paired explicit automaton's rules, not from this one's alphabet.
+    state (typically a rejecting sink) — :func:`explore_product` drives
+    symbols from the paired explicit automaton's rules, not from this
+    one's alphabet.
     """
 
     leaf_state: Callable[[str], LazyState]
@@ -93,152 +90,38 @@ def deterministic_view(ta: BottomUpTA) -> LazyTA:
     return LazyTA(leaf_state, step, ta.accepting.__contains__)
 
 
-#: An explicit rule as the pair searches see it: the symbol, the other
-#: child's state and the targets in ``repr`` order.
-_IndexedRule = tuple[str, Hashable, tuple]
+def explore_product(lazy: LazyTA, explicit: BottomUpTA) -> BottomUpTA:
+    """The product of ``lazy`` and ``explicit`` on the pairs ``(lazy
+    state, explicit state)`` reachable from the leaves, explored up to
+    the first pair both sides accept, as an explicit automaton on pair
+    ids ``0 .. n-1``.
 
-
-def _rule_index(
-    explicit: BottomUpTA,
-) -> tuple[dict[Hashable, list[_IndexedRule]],
-           dict[Hashable, list[_IndexedRule]]]:
-    """``explicit``'s internal rules indexed by their left child state
-    (``by_left``) and by their right child state (``by_right``)."""
-    by_left: dict[Hashable, list[_IndexedRule]] = {}
-    by_right: dict[Hashable, list[_IndexedRule]] = {}
-    for (symbol, p1, p2), targets in explicit.rules.items():
-        if not targets:
-            continue
-        ordered = tuple(sorted(targets, key=repr))
-        by_left.setdefault(p1, []).append((symbol, p2, ordered))
-        by_right.setdefault(p2, []).append((symbol, p1, ordered))
-    return by_left, by_right
-
-
-def lazy_product_witness(
-    lazy: LazyTA,
-    explicit: BottomUpTA,
-    stats: Optional[dict] = None,
-) -> Optional[BTree]:
-    """A tree accepted by both ``lazy`` and ``explicit``, else ``None``.
-
-    Standard product reachability, kept on-the-fly: pairs ``(s, p)``
-    are discovered bottom-up (BFS, so witnesses stay small-ish), the
-    lazy side's ``step`` is only invoked for symbol/child combinations
-    the explicit side's rules license, and the search returns as soon
-    as an accepting pair appears.  When ``stats`` is given it is filled
-    in place with ``pairs`` (pairs discovered), ``steps`` (lazy
-    transitions taken) and ``transitions`` (distinct ones evaluated).
-
-    The ambient governor is charged one state per pair and one step per
-    transition evaluated, so budgets and deadlines apply.
-    """
-    governor = current_governor()
-    accepting = explicit.accepting
-    pairs: dict[tuple[LazyState, Hashable], BTree] = {}
-    by_p: dict[Hashable, list[tuple[LazyState, BTree]]] = {}
-    queue: deque[tuple[LazyState, Hashable]] = deque()
-    transitions: dict[tuple, LazyState] = {}
-    steps = 0
-    leaves = 0
-
-    def step(symbol: str, left: LazyState, right: LazyState) -> LazyState:
-        key = (symbol, left, right)
-        state = transitions.get(key)
-        if state is None:
-            state = transitions[key] = lazy.step(symbol, left, right)
-        return state
-
-    def offer(state: LazyState, p: Hashable, tree: BTree) -> Optional[BTree]:
-        key = (state, p)
-        if key in pairs:
-            return None
-        governor.add_states()
-        pairs[key] = tree
-        by_p.setdefault(p, []).append((state, tree))
-        queue.append(key)
-        if p in accepting and lazy.is_accepting(state):
-            return tree
-        return None
-
-    def report() -> None:
-        if stats is not None:
-            stats["pairs"] = len(pairs)
-            stats["steps"] = steps
-            stats["transitions"] = leaves + len(transitions)
-
-    # the explicit side's rules drive the exploration: symbols it has no
-    # rules for cannot occur in any tree it accepts.
-    for symbol in sorted(explicit.leaf_rules):
-        targets = explicit.leaf_rules[symbol]
-        if not targets:
-            continue
-        governor.tick()
-        steps += 1
-        leaves += 1
-        state = lazy.leaf_state(symbol)
-        for p in sorted(targets, key=repr):
-            hit = offer(state, p, BTree(symbol))
-            if hit is not None:
-                report()
-                return hit
-
-    by_left, by_right = _rule_index(explicit)
-    while queue:
-        s1, p1 = queue.popleft()
-        tree1 = pairs[(s1, p1)]
-        # the popped pair as a left child against every known right pair
-        for symbol, p2, targets in by_left.get(p1, ()):
-            for s2, tree2 in list(by_p.get(p2, ())):
-                governor.tick()
-                steps += 1
-                state = step(symbol, s1, s2)
-                for p in targets:
-                    hit = offer(state, p, BTree(symbol, tree1, tree2))
-                    if hit is not None:
-                        report()
-                        return hit
-        # ... and as a right child (offer dedups the symmetric overlap)
-        for symbol, p0, targets in by_right.get(p1, ()):
-            for s0, tree0 in list(by_p.get(p0, ())):
-                governor.tick()
-                steps += 1
-                state = step(symbol, s0, s1)
-                for p in targets:
-                    hit = offer(state, p, BTree(symbol, tree0, tree1))
-                    if hit is not None:
-                        report()
-                        return hit
-    report()
-    return None
-
-
-def materialize_product(
-    lazy: LazyTA, explicit: BottomUpTA, alphabet: RankedAlphabet
-) -> BottomUpTA:
-    """The product of ``lazy`` and ``explicit`` over ``alphabet``, on
-    the pairs ``(lazy state, explicit state)`` reachable from the
-    leaves, as an explicit automaton on pair ids ``0 .. n-1``.
-
-    It accepts ``L(lazy) ∩ L(explicit)`` restricted to trees over
-    ``alphabet``: rules of ``explicit`` on other symbols are not
-    followed.  The pairs are those :func:`lazy_product_witness` would
-    discover without stopping, numbered in discovery order: the leaf
-    pairs in symbol order, then breadth-first, each newly found pair
-    against every pair found before it (both ways round) under the
-    explicit rules that license them.  Each distinct lazy transition is
-    evaluated once.
+    Its ``witness()`` is a tree of ``L(lazy) ∩ L(explicit)``, or
+    ``None`` when that language is empty.  The exploration stops as
+    soon as it interns a pair both sides accept; the accepting states
+    are that pair and any other accepting target of the rule that
+    reached it.  When there is no such pair, the automaton holds every
+    reachable pair and accepts nothing.  ``explicit``'s rules drive the
+    exploration on every symbol they use.  Pairs are numbered in
+    discovery order: the leaf pairs in symbol order, then breadth-first,
+    each newly found pair against every pair found before it (both ways
+    round) under the explicit rules that license them.  Each distinct
+    lazy transition is evaluated once.
 
     The ambient governor is charged one step per product transition and
     one state per pair.
     """
     governor = current_governor()
+    accepting = explicit.accepting
     lazy_ids: dict[LazyState, int] = {}
     lazy_states: list[LazyState] = []
     pair_ids: dict[tuple[int, Hashable], int] = {}
     pairs: list[tuple[int, Hashable]] = []
+    found: list[int] = []
     queue: deque[int] = deque()
     transitions: dict[tuple[str, int, int], int] = {}
+    leaf_rules: dict[str, set[int]] = {}
+    rules: dict[tuple[str, int, int], set[int]] = {}
 
     def lazy_id(state: LazyState) -> int:
         state_id = lazy_ids.get(state)
@@ -255,22 +138,12 @@ def materialize_product(
             pair_id = pair_ids[key] = len(pairs)
             pairs.append(key)
             queue.append(pair_id)
+            if p in accepting and lazy.is_accepting(lazy_states[state_id]):
+                found.append(pair_id)
         return pair_id
 
-    leaf_rules: dict[str, set[int]] = {}
-    for symbol in sorted(explicit.leaf_rules):
-        if symbol not in alphabet.leaves:
-            continue
-        governor.tick()
-        state_id = lazy_id(lazy.leaf_state(symbol))
-        leaf_rules[symbol] = {
-            intern(state_id, p)
-            for p in sorted(explicit.leaf_rules[symbol], key=repr)
-        }
-
-    rules: dict[tuple[str, int, int], set[int]] = {}
-
-    def add(symbol: str, left: int, right: int, targets: tuple) -> None:
+    def add(symbol: str, left: int, right: int, targets: tuple) -> bool:
+        """Record one product rule; ``True`` once a pair is accepted."""
         governor.tick()
         s1, s2 = pairs[left][0], pairs[right][0]
         state_id = transitions.get((symbol, s1, s2))
@@ -279,33 +152,48 @@ def materialize_product(
                 lazy.step(symbol, lazy_states[s1], lazy_states[s2])
             )
         rules[(symbol, left, right)] = {intern(state_id, p) for p in targets}
+        return bool(found)
 
-    internals = alphabet.internals
-    by_left, by_right = _rule_index(explicit)
-    processed: dict[Hashable, list[int]] = {}
-    while queue:
-        current = queue.popleft()
-        p1 = pairs[current][1]
-        processed.setdefault(p1, []).append(current)
-        for symbol, p2, targets in by_left.get(p1, ()):
-            if symbol in internals:
+    def explore() -> None:
+        for symbol in sorted(explicit.leaf_rules):
+            governor.tick()
+            state_id = lazy_id(lazy.leaf_state(symbol))
+            leaf_rules[symbol] = {
+                intern(state_id, p)
+                for p in sorted(explicit.leaf_rules[symbol], key=repr)
+            }
+            if found:
+                return
+        # the internal rules by left and by right child state, with
+        # their targets in repr order
+        by_left: dict[Hashable, list] = {}
+        by_right: dict[Hashable, list] = {}
+        for (symbol, p1, p2), targets in explicit.rules.items():
+            ordered = tuple(sorted(targets, key=repr))
+            by_left.setdefault(p1, []).append((symbol, p2, ordered))
+            by_right.setdefault(p2, []).append((symbol, p1, ordered))
+        processed: dict[Hashable, list[int]] = {}
+        while queue:
+            current = queue.popleft()
+            p1 = pairs[current][1]
+            processed.setdefault(p1, []).append(current)
+            for symbol, p2, targets in by_left.get(p1, ()):
                 for other in processed.get(p2, ()):
-                    add(symbol, current, other, targets)
-        for symbol, p0, targets in by_right.get(p1, ()):
-            if symbol in internals:
+                    if add(symbol, current, other, targets):
+                        return
+            for symbol, p0, targets in by_right.get(p1, ()):
                 for other in processed.get(p0, ()):
-                    if other != current:
-                        add(symbol, other, current, targets)
-    accepting = explicit.accepting
+                    if other != current \
+                            and add(symbol, other, current, targets):
+                        return
+
+    explore()
     return BottomUpTA(
-        alphabet=alphabet,
+        alphabet=explicit.alphabet,
         states=range(len(pairs)),
         leaf_rules=leaf_rules,
         rules=rules,
-        accepting=[
-            pair_id for pair_id, (state_id, p) in enumerate(pairs)
-            if p in accepting and lazy.is_accepting(lazy_states[state_id])
-        ],
+        accepting=found,
     )
 
 

@@ -197,6 +197,8 @@ class BottomUpTA:
             return self._witness()
 
     def _witness(self) -> Optional[BTree]:
+        if not self.accepting:
+            return None
         governor = current_governor()
         idx = ta_index(self)
         index = idx.index
@@ -252,11 +254,10 @@ class BottomUpTA:
     def product_witness(self, other: "BottomUpTA") -> Optional[BTree]:
         """A tree in ``L(self) ∩ L(other)``, or ``None`` if there is none.
 
-        Runs :func:`~repro.automata.alternating.lazy_product_witness` over
-        ``other`` as a :func:`~repro.automata.alternating.deterministic_view`:
-        only reachable pairs are explored and the search stops at the first
-        accepting one, so the witness is that pair's tree, not necessarily a
-        smallest one.  ``other`` must be complete deterministic (else
+        The :meth:`witness` of :func:`~repro.automata.alternating.explore_product`
+        over ``other`` as a :func:`~repro.automata.alternating.deterministic_view`:
+        only reachable pairs are explored and the exploration stops at the
+        first accepting one.  ``other`` must be complete deterministic (else
         :class:`AutomatonError`), as :meth:`complemented` always is, so
         ``a.product_witness(b.complemented())`` witnesses ``L(a) - L(b)``.
         """
@@ -267,7 +268,7 @@ class BottomUpTA:
 
         def search() -> Optional[BTree]:
             lazy = alternating.deterministic_view(other)
-            return alternating.lazy_product_witness(lazy, self)
+            return alternating.explore_product(lazy, self).witness()
 
         with current_tracer().span("ta.product_witness"):
             return memoized("ta.product_witness", (self, other), search)

@@ -614,8 +614,8 @@ def trim_quotient(automaton: PebbleAutomaton) -> PebbleAutomaton:
     language, usually on far fewer states.
 
     Memoized as one op, ``pebble.trim-quotient``, shared by the
-    Theorem 4.4 pipeline and the lazy route, so a repeated check neither
-    re-trims nor re-quotients its product.
+    whole-language construction above and the one-pebble exact route,
+    so a repeated check neither re-trims nor re-quotients its product.
     """
     return memoized(
         "pebble.trim-quotient", (automaton,),

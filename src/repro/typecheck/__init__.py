@@ -12,7 +12,6 @@ from repro.typecheck.routing import (
     RouteDecision,
     classify,
     typecheck_fast,
-    typecheck_lazy,
 )
 from repro.typecheck.stylesheet import typecheck_stylesheet
 from repro.typecheck.forward import (
@@ -36,7 +35,6 @@ __all__ = [
     "RouteDecision",
     "classify",
     "typecheck_fast",
-    "typecheck_lazy",
     "typecheck_stylesheet",
     "ForwardResult",
     "approximate_image",

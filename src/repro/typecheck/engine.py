@@ -8,10 +8,11 @@ Two engines are provided:
   type, build the product pebble automaton ``A`` of Proposition 4.6
   (``inst(A) = {t | T(t) ∩ ¬tau2 ≠ ∅}``), translate ``A`` into a regular
   tree automaton via the Theorem 4.7 pipeline, intersect with the input
-  type, and test emptiness.  For one pebble the intersection is built
-  directly, from the walking summary of ``A`` and the input type, so
-  only the part of ``A``'s language the input type reaches is ever
-  regularized.  Any witness is a genuine counterexample,
+  type, and test emptiness.  For one pebble the intersection is
+  explored directly, from the walking summary of ``A`` and the input
+  type, up to its first tree, so only the part of ``A``'s language the
+  input type reaches is ever regularized.  Any witness is a genuine
+  counterexample,
   and a concrete bad output is recovered through the Proposition 3.8
   output automaton.  This is decidable but non-elementary (Theorem 4.8);
   it is intended for machines with few pebbles and small state counts —
@@ -25,8 +26,8 @@ Two engines are provided:
 
 The default, ``method="auto"``, gives the exact engine's verdicts but
 routes each machine to the cheapest exact procedure for it
-(:mod:`repro.typecheck.routing`); ``method="exact"`` pins the pipeline
-above.
+(:mod:`repro.typecheck.routing`), the pipeline above for any machine
+the faster routes do not cover; ``method="exact"`` pins the pipeline.
 
 Because the exact procedure is non-elementary, :func:`typecheck` also
 implements a *degradation policy*: run it under a resource governor
@@ -52,13 +53,12 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional, Union
 
-from repro.automata.alternating import materialize_product
+from repro.automata.alternating import explore_product
 from repro.automata.bottom_up import BottomUpTA
 from repro.automata.convert import bu_to_td
 from repro.automata.from_dtd import dtd_to_automaton, specialized_to_automaton
 from repro.automata.top_down import TopDownTA
 from repro.errors import ResourceExhausted, TypecheckError
-from repro.pebble.automaton import PebbleAutomaton
 from repro.pebble.output_automaton import output_language
 from repro.pebble.product import transducer_times_automaton
 from repro.pebble.to_regular import pebble_automaton_to_ta, trim_quotient
@@ -104,7 +104,7 @@ DEFAULT_METHOD = "auto"
 #: ``method`` values whose verdicts are exact proofs / genuine
 #: counterexamples (audit certifies these; the bounded falsifier and
 #: degraded results are not in this set).
-EXACT_METHODS = frozenset({"exact", "fast-td", "lazy-backward", "stylesheet"})
+EXACT_METHODS = frozenset({"exact", "fast-td", "stylesheet"})
 
 _BOUNDED_CAVEAT = (
     "ok=True from the bounded falsifier only means no counterexample was "
@@ -230,7 +230,10 @@ def bad_input_language(
     """The regular language ``{t | T(t) ⊈ tau2}`` (the complement of the
     inverse type)."""
     _, not_tau2 = complement_output_type(transducer, output_type)
-    return _bad_inputs(transducer, not_tau2)
+    with current_governor().phase("transducer-product"), \
+            current_tracer().span("transducer-product"):
+        product = transducer_times_automaton(transducer, not_tau2)
+    return pebble_automaton_to_ta(product)
 
 
 def complement_output_type(
@@ -266,16 +269,6 @@ def _top_down_complement(tau2: BottomUpTA) -> TopDownTA:
         return bu_to_td(complemented)
 
 
-def _bad_inputs(
-    transducer: PebbleTransducer, not_tau2: TopDownTA
-) -> BottomUpTA:
-    """The Prop 4.6 product with ``not_tau2``, regularized (Thm 4.7)."""
-    with current_governor().phase("transducer-product"), \
-            current_tracer().span("transducer-product"):
-        product = transducer_times_automaton(transducer, not_tau2)
-    return pebble_automaton_to_ta(product)
-
-
 def typecheck(
     transducer: PebbleTransducer,
     input_type: TypeLike,
@@ -300,15 +293,13 @@ def typecheck(
       (:func:`repro.typecheck.routing.classify`) and run the cheapest
       exact route: the ``stylesheet`` content-model fixpoint for a
       compiled stylesheet between two DTDs, the polynomial ``fast-td``
-      checker for deterministic linear top-down machines,
-      ``lazy-backward`` on-the-fly emptiness for other one-pebble
-      machines, the Theorem 4.4 pipeline otherwise.
+      checker for deterministic linear top-down machines, the Theorem
+      4.4 pipeline (``exact``) otherwise.
       The route actually taken is the result's ``method`` and its
       rationale lands in ``stats["routing"]``.
     * ``"exact"`` — the Theorem 4.4 decision procedure, unconditionally
       (no classification).  To force one of the other routes, call
-      :func:`~repro.typecheck.routing.typecheck_fast`,
-      :func:`~repro.typecheck.routing.typecheck_lazy` or
+      :func:`~repro.typecheck.routing.typecheck_fast` or
       :func:`~repro.typecheck.stylesheet.typecheck_stylesheet` directly.
     * ``"bounded"`` — enumerate up to ``max_inputs`` instances of the
       input type and check each (a sound falsifier, not a proof).
@@ -518,9 +509,6 @@ def _typecheck_dispatch(
         runner, span_name = {
             routing.EXACT: (_typecheck_exact, "exact"),
             routing.FAST_TD: (routing.typecheck_fast, "route:fast-td"),
-            routing.LAZY_BACKWARD: (
-                routing.typecheck_lazy, "route:lazy-backward"
-            ),
             routing.STYLESHEET: (
                 routing.typecheck_stylesheet, "route:stylesheet"
             ),
@@ -614,32 +602,6 @@ def _outputs_outside(
     return outputs.intersection(not_tau2)
 
 
-def walking_product(
-    transducer: PebbleTransducer,
-    input_type: TypeLike,
-    output_type: TypeLike,
-) -> tuple[BottomUpTA, BottomUpTA, PebbleAutomaton]:
-    """The prologue of every one-pebble check: ``tau1`` coerced to the
-    input alphabet, ``tau2`` coerced to the output alphabet, and the
-    Proposition 4.6 product with ``¬tau2``, trimmed and quotiented.
-
-    The product is an alternating tree-walking automaton; the caller
-    decides emptiness of its walking summary
-    (:func:`~repro.pebble.two_way.walking_summary`) against ``tau1``.
-    """
-    governor = current_governor()
-    tracer = current_tracer()
-    with tracer.span("coerce-input-type"):
-        tau1 = as_automaton(input_type, transducer.input_alphabet)
-    tau2, not_tau2 = complement_output_type(transducer, output_type)
-    with governor.phase("transducer-product"), \
-            tracer.span("transducer-product"):
-        product = transducer_times_automaton(transducer, not_tau2)
-    with governor.phase("pebble-trim"), tracer.span("pebble-trim"):
-        walking = trim_quotient(product)
-    return tau1, tau2, walking
-
-
 def _typecheck_exact(
     transducer: PebbleTransducer,
     input_type: TypeLike,
@@ -649,44 +611,53 @@ def _typecheck_exact(
     """Theorem 4.4: a witness of ``R ∩ tau1``, ``R`` the inputs with an
     output outside ``tau2``.
 
-    For one pebble the product is a tree-walking automaton, and
-    ``R ∩ tau1`` is built directly as the pairs (summary relation,
-    ``tau1`` state) reachable from the leaves
-    (:func:`~repro.automata.alternating.materialize_product`): no
+    The Proposition 4.6 product with ``¬tau2`` presents ``R``.  For one
+    pebble it is a tree-walking automaton, trimmed and quotiented, and
+    ``R ∩ tau1`` is explored directly as the pairs (summary relation,
+    ``tau1`` state) reachable from the leaves, up to the first pair in
+    both (:func:`~repro.automata.alternating.explore_product`): no
     summary relation that no tree of ``tau1`` reaches is computed.  It
     is memoized as one op, ``pebble.summary-product``, on the product's
-    derivation and ``tau1``.  With more pebbles ``R`` is regularized
-    whole (Theorem 4.7) and intersected with ``tau1``.
+    derivation and ``tau1``.  With more pebbles the machine's input
+    alphabet is first widened to ``tau1``'s (it is stuck on symbols it
+    has no rules for, as when it runs), and ``R`` is regularized whole
+    (Theorem 4.7) and intersected with ``tau1``.
     """
     started = time.perf_counter()
     gov = current_governor()
     tracer = current_tracer()
-    if transducer.k == 1:
-        tau1, tau2, walking = walking_product(
-            transducer, input_type, output_type
+    with tracer.span("coerce-input-type"):
+        tau1 = as_automaton(input_type, transducer.input_alphabet)
+    machine = transducer
+    wider = transducer.input_alphabet.union(tau1.alphabet)
+    if transducer.k > 1 and wider != transducer.input_alphabet:
+        # R is regularized whole, so it must cover tau1's symbols; the
+        # machine has no rules on the new ones and is stuck there, as
+        # when it runs
+        machine = PebbleTransducer(
+            wider, transducer.output_alphabet, transducer.levels,
+            transducer.initial, transducer.rules,
         )
+    tau2, not_tau2 = complement_output_type(machine, output_type)
+    with gov.phase("transducer-product"), \
+            tracer.span("transducer-product"):
+        product = transducer_times_automaton(machine, not_tau2)
+    if transducer.k == 1:
+        with gov.phase("pebble-trim"), tracer.span("pebble-trim"):
+            walking = trim_quotient(product)
         with gov.phase("walking-summary"), tracer.span("walking-summary"):
             offending = memoized(
                 "pebble.summary-product", (walking, tau1),
-                lambda: materialize_product(
-                    walking_summary(walking), tau1, walking.alphabet
-                ),
+                lambda: explore_product(walking_summary(walking), tau1),
             )
         stats = {
             "product": walking.stats(),
             "offending_states": len(offending.states),
         }
     else:
-        with tracer.span("coerce-input-type"):
-            tau1 = as_automaton(input_type, transducer.input_alphabet)
-        tau2, not_tau2 = complement_output_type(transducer, output_type)
-        bad = _bad_inputs(transducer, not_tau2)
+        bad = pebble_automaton_to_ta(product)
         with gov.phase("intersect-input-type"), \
                 tracer.span("intersect-input-type"):
-            # align alphabets before intersecting (types may use extra
-            # symbols)
-            tau1 = as_automaton(tau1, bad.alphabet)
-            bad = as_automaton(bad, tau1.alphabet)
             offending = bad.intersection(tau1).trimmed()
         stats = {
             "bad_language_states": len(bad.states),

@@ -19,21 +19,16 @@ grounded fast paths documented in ``docs/algorithms.md``:
   triples — no pebble product, no summary construction, no
   determinization of anything but the output type.
 
-* **lazy-backward** — Frisch–Hosoya ("Towards Practical Typechecking
-  for Macro Tree Transducers", PAPERS.md) keep backward inference
-  *lazy*: :func:`typecheck_lazy` builds the Proposition 4.6 product
-  ``A`` (``inst(A) = {t | T(t) ∩ ¬tau2 ≠ ∅}``) but never materializes
-  its regular language.  Instead the walking summary of
-  :mod:`repro.pebble.two_way` is evaluated on demand, only for the
-  states co-reachable with the input type, via
-  :func:`repro.automata.alternating.lazy_product_witness` — the search
-  stops at the first offending tree, where the Theorem 4.4 pipeline
-  builds every reachable pair.  Applicable to every one-pebble
-  transducer.
+Every other machine takes **exact**, the Theorem 4.4 pipeline of
+:func:`repro.typecheck.engine.typecheck`; for one pebble it explores
+the walking summary of the Proposition 4.6 product against the input
+type lazily, Frisch–Hosoya style ("Towards Practical Typechecking for
+Macro Tree Transducers", PAPERS.md), and stops at the first offending
+tree.
 
 All routes are *exact*: an ``ok`` is a proof, a counterexample is
-genuine, and the audit layer certifies their verdicts exactly like the
-Theorem 4.4 pipeline's.  Route selection lives in
+genuine, and the audit layer certifies the fast routes' verdicts
+exactly like the Theorem 4.4 pipeline's.  Route selection lives in
 :func:`repro.typecheck.engine.typecheck` (``method="auto"``); the
 decision and its reasons are reported in ``stats["routing"]``.
 """
@@ -44,11 +39,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.automata.alternating import lazy_product_witness
 from repro.errors import TypecheckError
 from repro.pebble.transducer import Emit0, Emit2, Move, PebbleTransducer
-from repro.pebble.two_way import walking_summary
-from repro.runtime.cache import memoized
 from repro.runtime.governor import ResourceGovernor, current_governor
 from repro.runtime.trace import current_tracer
 from repro.trees.ranked import BTree
@@ -56,7 +48,6 @@ from repro.typecheck.engine import (
     TypecheckResult,
     as_automaton,
     route_verdict,
-    walking_product,
 )
 from repro.typecheck.stylesheet import (
     STYLESHEET,
@@ -67,7 +58,6 @@ from repro.typecheck.stylesheet import (
 
 #: Route names, as reported in ``result.method`` and trace spans.
 FAST_TD = "fast-td"
-LAZY_BACKWARD = "lazy-backward"
 EXACT = "exact"
 
 #: "This branch of the run is stuck / produces no output" — the bottom
@@ -103,14 +93,14 @@ def classify(
     1. a compiled stylesheet between the two DTDs ``input_type`` and
        ``output_type`` (:func:`~repro.typecheck.stylesheet.decline_reasons`
        lists the conditions) → ``stylesheet``;
-    2. more than one pebble → ``exact`` (only the Theorem 4.7
-       quantifier-block construction handles extra pebbles);
-    3. one pebble but nondeterministic, walking back up, or with a
-       cyclic or copying per-node expansion → ``lazy-backward``;
-    4. otherwise (deterministic, purely top-down, linear) → ``fast-td``.
+    2. one pebble, deterministic, purely top-down and linear (the
+       per-node expansion neither loops nor copies) → ``fast-td``;
+    3. otherwise (more pebbles, nondeterminism, up-moves, a cyclic or
+       copying expansion) → ``exact``, with the reasons ``fast-td``
+       was declined.
 
     Without the types, step 1 is skipped.  Every step is syntactic:
-    steps 2-4 read the rule table, O(rules), and step 1 the stylesheet's
+    step 2 reads the rule table, O(rules), and step 1 the stylesheet's
     source key and the input DTD's content models.  No automaton is
     built, so it is safe to run on every ``method="auto"`` call.
     """
@@ -129,8 +119,8 @@ def classify(
             route=EXACT,
             reasons=(
                 *declined,
-                f"uses {transducer.k} pebbles; both fast routes need a "
-                "single head",
+                f"uses {transducer.k} pebbles; fast-td needs a single "
+                "head",
             ),
         )
     reasons: list[str] = []
@@ -166,9 +156,7 @@ def classify(
                     f"descends into the {side} child more than once"
                 )
     if reasons:
-        return RouteDecision(
-            route=LAZY_BACKWARD, reasons=(*declined, *reasons)
-        )
+        return RouteDecision(route=EXACT, reasons=(*declined, *reasons))
     return RouteDecision(route=FAST_TD, reasons=declined)
 
 
@@ -490,60 +478,4 @@ def typecheck_fast(
     }
     return route_verdict(
         FAST_TD, transducer, tau2, stats, started, governor, lambda: bad
-    )
-
-
-# ---------------------------------------------------------------------------
-# lazy-backward: on-the-fly emptiness of the Prop 4.6 product
-# ---------------------------------------------------------------------------
-
-
-def typecheck_lazy(
-    transducer: PebbleTransducer,
-    input_type,
-    output_type,
-    governor: Optional[ResourceGovernor] = None,
-) -> TypecheckResult:
-    """Decide ``T(tau1) ⊆ tau2`` by lazy backward inference.
-
-    Builds the Proposition 4.6 product ``A`` (trimmed and
-    bisimulation-quotiented, :func:`~repro.typecheck.engine.walking_product`)
-    and searches the pairs of its walking summary
-    (:func:`~repro.pebble.two_way.walking_summary`) and ``tau1`` —
-    :func:`~repro.automata.alternating.lazy_product_witness`, which
-    computes each summary relation on demand and stops at the first
-    offending tree, where the Theorem 4.4 pipeline builds every
-    reachable pair.  Exact for every one-pebble transducer; the search
-    result is memoized like the pipeline's constructions.
-    """
-    started = time.perf_counter()
-    if transducer.k != 1:
-        raise TypecheckError(
-            "lazy backward inference needs a single head; this "
-            f"transducer uses {transducer.k} pebbles"
-        )
-    tau1, tau2, walking = walking_product(
-        transducer, input_type, output_type
-    )
-    counts: dict = {}
-
-    def search() -> Optional[BTree]:
-        witness = lazy_product_witness(
-            walking_summary(walking), tau1, stats=counts
-        )
-        # each distinct transition yields one summary relation
-        counts["relations"] = counts.pop("transitions")
-        return witness
-
-    with current_governor().phase("lazy-pairs"):
-        witness = memoized(
-            "routing.lazy-backward", (walking, tau1), search
-        )
-    stats = {
-        "product": walking.stats(),
-        "search": dict(counts) if counts else {"cached": True},
-    }
-    return route_verdict(
-        LAZY_BACKWARD, transducer, tau2, stats, started, governor,
-        lambda: witness,
     )

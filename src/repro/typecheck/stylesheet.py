@@ -2,7 +2,7 @@
 
 A stylesheet of :mod:`repro.lang.xslt` compiles to a one-pebble machine
 that climbs back up between siblings, so the machine alone only admits
-``lazy-backward``.  The machine's source key
+the ``exact`` route.  The machine's source key
 (:func:`~repro.runtime.cache.source_of`) still holds the stylesheet it
 was compiled from, and with both types plain DTDs the question is local
 in the unranked tree:

@@ -34,12 +34,14 @@ from repro.errors import TypecheckError
 from repro.lang import q1_transducer, q2_stylesheet, xslt_to_transducer
 from repro.runtime.cache import (
     GLOBAL_CACHE,
+    clear_cache,
     quarantine_keys,
     tracked_keys,
 )
+from repro.runtime.diskcache import _poison_value
 from repro.runtime.faults import FaultPlan, FaultSpec, injected_faults
 from repro.runtime.jobs import execute_classified, execute_job
-from repro.pebble import copy_transducer
+from repro.pebble import copy_transducer, exponential_transducer
 from repro.trees import BTree, RankedAlphabet
 from repro.typecheck import typecheck
 from repro.typecheck.engine import DEGRADED_METHOD, TypecheckResult
@@ -339,6 +341,38 @@ class TestFlipFaultEscalation:
         assert outcome["status"] == "ok"
         assert outcome["stats"]["audit"]["status"] == SKIPPED
         assert "quarantine" not in outcome
+
+
+class TestPoisonedSummaryProduct:
+    """A one-pebble machine outside the fast routes is checked on the
+    pair automaton ``pebble.summary-product`` stores, so a poisoned entry
+    flips its verdict and the witness audit must refute it."""
+
+    def test_flipped_ok_is_refuted_and_its_key_quarantined(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(GLOBAL_CACHE, "enabled", True)
+        machine = exponential_transducer(ALPHA)
+        output = machine.output_alphabet
+        check = (machine, leaves_in({"a"}), leaves_in({"a"}, output))
+        clear_cache()
+        try:
+            with tracked_keys() as keys:
+                first = typecheck(*check, audit="off")
+            (key,) = [
+                key for key in keys
+                if key.startswith("pebble.summary-product|")
+            ]
+            # what the cache:poison-entry fault writes to the disk tier
+            GLOBAL_CACHE.store(key, _poison_value(GLOBAL_CACHE.lookup(key)))
+            second = typecheck(*check, audit="witness")
+        finally:
+            clear_cache()
+        assert first.ok and first.method == "exact"
+        assert not second.ok and second.method == "exact"
+        audit = second.stats["audit"]
+        assert audit["status"] == FAILED
+        assert key in audit["quarantine_keys"]
 
 
 class TestQuarantinePrimitives:

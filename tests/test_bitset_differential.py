@@ -249,13 +249,13 @@ class TestTreeAutomata:
 
     def test_repeated_product_witness_is_a_memo_hit(self, monkeypatch):
         searches = []
-        search = alternating.lazy_product_witness
+        search = alternating.explore_product
 
         def counted(*args):
             searches.append(args)
             return search(*args)
 
-        monkeypatch.setattr(alternating, "lazy_product_witness", counted)
+        monkeypatch.setattr(alternating, "explore_product", counted)
         monkeypatch.setattr(GLOBAL_CACHE, "enabled", True)
         clear_cache()
         one = _random_automaton(3)

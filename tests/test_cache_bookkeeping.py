@@ -22,7 +22,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import pickle
 import sys
@@ -79,15 +78,10 @@ from repro.runtime.cache import (
     tracked_keys,
 )
 from repro.runtime.diskcache import DiskCache
-from repro.runtime.governor import (
-    ResourceGovernor,
-    current_governor,
-    governed,
-    make_governor,
-)
+from repro.runtime.governor import ResourceGovernor, current_governor
 from repro.runtime.trace import Tracer, tracing
 from repro.trees import BTree, RankedAlphabet, encoded_alphabet
-from repro.typecheck import bad_input_language, typecheck, typecheck_lazy
+from repro.typecheck import bad_input_language, typecheck
 from repro.typecheck.engine import as_automaton, complement_output_type
 from repro.xmlio import SpecializedDTD, parse_dtd
 
@@ -152,20 +146,15 @@ def _derivation(value):
     return getattr(value, "_repro_derivation", None)
 
 
-def _lazy(*check, max_steps=None):
-    """``typecheck_lazy`` on ``check``: ``method="auto"`` sends a
-    stylesheet between DTDs to the stylesheet route instead.  A step
-    budget installs a governor, as ``typecheck`` would."""
-    gov = make_governor(max_steps=max_steps)
-    with governed(gov) if gov is not None else contextlib.nullcontext():
-        return typecheck_lazy(*check, governor=gov)
+def _exact(*check, max_steps=None):
+    """``typecheck(..., method="exact")`` on ``check``: ``method="auto"``
+    sends a stylesheet between DTDs to the stylesheet route instead."""
+    return typecheck(*check, method="exact", max_steps=max_steps)
 
 
 class TestDerivationKeys:
     @pytest.mark.parametrize("method,op", [
         ("exact", "pebble.summary-product"),
-        pytest.param("lazy", "routing.lazy-backward",
-                     id="lazy-routing.lazy-backward"),
         # the whole Theorem 4.7 language, which only
         # bad_input_language and inverse_type build for one pebble
         ("bad-inputs", "pebble.to_regular"),
@@ -180,9 +169,7 @@ class TestDerivationKeys:
 
         monkeypatch.setattr(cache_module, "_pebble_fingerprint", spy)
         with tracked_keys() as keys:
-            if method == "lazy":
-                failed = not _lazy(*_wrap_job(WRAP_BAD)).ok
-            elif method == "bad-inputs":
+            if method == "bad-inputs":
                 machine, _, tau2 = _wrap_job(WRAP_BAD)
                 failed = not bad_input_language(machine, tau2).is_empty()
             else:
@@ -254,7 +241,7 @@ class TestSourceKeys:
     @pytest.mark.parametrize("job", sorted(SHEET_JOBS))
     def test_warm_repeat_hashes_no_automaton(self, monkeypatch, job):
         passes = SHEET_JOBS[job][-1]
-        _lazy(*_from_texts(job))
+        _exact(*_from_texts(job))
         seen: list = []
         compute = cache_module._compute_fingerprint
 
@@ -266,7 +253,7 @@ class TestSourceKeys:
         monkeypatch.setattr(cache_module, "_compute_fingerprint", spy)
         # a step budget installs a governor, whose phase says where
         # each fingerprint was taken
-        result = _lazy(*_from_texts(job), max_steps=10**9)
+        result = _exact(*_from_texts(job), max_steps=10**9)
         assert result.ok is passes
         kinds = {kind for kind, _ in seen}
         assert not kinds & {"PebbleTransducer", "TopDownTA",
@@ -275,10 +262,10 @@ class TestSourceKeys:
         assert phases <= (set() if passes else {"witness"}), seen
 
     def test_warm_repeat_hits_the_complement_output_op(self):
-        _lazy(*_wrap_job(WRAP_OK))
+        _exact(*_wrap_job(WRAP_OK))
         tracer = Tracer()
         with tracing(tracer):
-            _lazy(*_wrap_job(WRAP_OK))
+            _exact(*_wrap_job(WRAP_OK))
         (op,) = _spans(tracer.root, "type.complement-output")
         assert op.attrs["cache"] == "hit"
         assert not list(_spans(tracer.root, "bu-to-td"))
@@ -469,7 +456,7 @@ def _spans(span, name):
 
 class TestSharedTrimQuotient:
     def test_warm_lazy_check_neither_trims_nor_quotients(self, monkeypatch):
-        first = _lazy(*_wrap_job(WRAP_BAD))
+        first = _exact(*_wrap_job(WRAP_BAD))
 
         def spy(automaton):
             raise AssertionError("the warm check re-quotiented its product")
@@ -477,20 +464,20 @@ class TestSharedTrimQuotient:
         monkeypatch.setattr(to_regular, "quotient_pebble_automaton", spy)
         tracer = Tracer()
         with tracing(tracer):
-            second = _lazy(*_wrap_job(WRAP_BAD))
+            second = _exact(*_wrap_job(WRAP_BAD))
         (trim,) = _spans(tracer.root, "pebble.trim-quotient")
         assert trim.attrs["cache"] == "hit"
-        assert second.method == first.method == "lazy-backward"
+        assert second.method == first.method == "exact"
         assert (second.ok, second.counterexample_input,
                 second.counterexample_output) \
             == (first.ok, first.counterexample_input,
                 first.counterexample_output)
 
     def test_without_the_cache_the_verdict_and_witness_agree(self):
-        cached = _lazy(*_wrap_job(WRAP_BAD))
+        cached = _exact(*_wrap_job(WRAP_BAD))
         with cache_disabled():
-            first = _lazy(*_wrap_job(WRAP_BAD))
-            second = _lazy(*_wrap_job(WRAP_BAD))
+            first = _exact(*_wrap_job(WRAP_BAD))
+            second = _exact(*_wrap_job(WRAP_BAD))
         for result in (first, second):
             assert (result.ok, result.counterexample_input,
                     result.counterexample_output) \

@@ -5,9 +5,8 @@ in ``tests/test_routing_differential.py``; this module pins the routing
 *mechanics* — which machines classify where, what ``method=`` values
 do, what lands in stats and trace spans, and how degradation and audit
 compose with the fast routes.  Each route is reached through
-``method="auto"``: the copy transducer takes ``fast-td``, the
-exponential transducer ``lazy-backward`` and a 2-pebble machine
-``exact``.
+``method="auto"``: the copy transducer takes ``fast-td``, and the
+exponential transducer and a 2-pebble machine take ``exact``.
 """
 
 import pytest
@@ -19,10 +18,18 @@ from repro.pebble.builders import (
     exponential_transducer,
     rotation_transducer,
 )
-from repro.pebble.transducer import Emit0, Emit2, Move, PebbleTransducer
+from repro.pebble.transducer import (
+    Emit0,
+    Emit2,
+    Move,
+    PebbleTransducer,
+    Place,
+)
+from repro.runtime.cache import GLOBAL_CACHE, cache_disabled, clear_cache
 from repro.runtime.trace import Tracer, tracing
 from repro.trees.alphabet import RankedAlphabet
-from repro.typecheck import classify, typecheck, typecheck_fast, typecheck_lazy
+from repro.trees.ranked import BTree
+from repro.typecheck import classify, typecheck, typecheck_fast
 from repro.typecheck.engine import DEGRADED_SUFFIX, EXACT_METHODS
 
 ALPHA = RankedAlphabet(leaves={"a", "b"}, internals={"f", "g"})
@@ -52,8 +59,6 @@ def leaves_all_a(alphabet=ALPHA) -> BottomUpTA:
 
 def two_pebble_machine() -> PebbleTransducer:
     """A trivial 2-pebble transducer (never runs; classification only)."""
-    from repro.pebble.transducer import Place
-
     rules = {
         ("a", "q", ()): (Place("r"),),
         ("a", "r", (0,)): (Emit0("a"),),
@@ -75,7 +80,7 @@ class TestClassifier:
 
     def test_exponential_declined_for_copying(self):
         decision = classify(exponential_transducer(ALPHA))
-        assert decision.route == "lazy-backward"
+        assert decision.route == "exact"
         assert any("non-linear" in reason for reason in decision.reasons)
 
     def test_rotation_declined_for_up_moves(self):
@@ -83,7 +88,7 @@ class TestClassifier:
         decision = classify(
             rotation_transducer(alpha, pivot="s", root_symbol="r")
         )
-        assert decision.route == "lazy-backward"
+        assert decision.route == "exact"
         reasons = " ".join(decision.reasons)
         assert "up" in reasons and "nondeterministic" in reasons
 
@@ -101,7 +106,7 @@ class TestClassifier:
             levels=[["q"]], initial="q", rules=rules,
         )
         decision = classify(machine)
-        assert decision.route == "lazy-backward"
+        assert decision.route == "exact"
         assert any("loop" in reason for reason in decision.reasons)
 
     def test_double_descent_same_side_declined(self):
@@ -117,7 +122,7 @@ class TestClassifier:
             levels=[["q", "q1", "q2"]], initial="q", rules=rules,
         )
         decision = classify(machine)
-        assert decision.route == "lazy-backward"
+        assert decision.route == "exact"
         assert any("non-linear" in reason for reason in decision.reasons)
 
     def test_classifier_is_pure_syntax(self):
@@ -151,11 +156,7 @@ class TestMethodFlag:
                 universal(EXPO_OUT),
             )
 
-    def test_forced_lazy_on_multi_pebble_machine_raises(self):
-        with pytest.raises(TypecheckError, match="single head"):
-            typecheck_lazy(two_pebble_machine(), universal(), universal())
-
-    @pytest.mark.parametrize("method", ["fast", "lazy"])
+    @pytest.mark.parametrize("method", ["fast", "lazy", "lazy-backward"])
     def test_route_names_are_not_methods(self, method):
         # a route is forced by calling its function, not through method=
         with pytest.raises(TypecheckError, match="unknown method"):
@@ -204,8 +205,8 @@ class TestTraceSpans:
         names = self.span_names(
             "auto", exponential_transducer(ALPHA), universal(EXPO_OUT)
         )
-        assert "route:lazy-backward" in names
-        assert "exact" not in names
+        assert "route:classify" in names
+        assert {"exact", "walking-summary"} <= names
 
     def test_exact_trace_is_unchanged(self):
         names = self.span_names("exact")
@@ -229,8 +230,8 @@ class TestDegradation:
             exponential_transducer(ALPHA), universal(), universal(EXPO_OUT),
             method="auto", max_steps=1, fallback=True,
         )
-        assert result.method == "lazy-backward" + DEGRADED_SUFFIX
-        assert result.stats["routing"]["route"] == "lazy-backward"
+        assert result.method == "exact" + DEGRADED_SUFFIX
+        assert result.stats["routing"]["route"] == "exact"
 
 
 class TestAuditComposition:
@@ -247,7 +248,7 @@ class TestAuditComposition:
             exponential_transducer(ALPHA), universal(),
             leaves_all_a(EXPO_OUT), method="auto", audit="witness",
         )
-        assert not result.ok and result.method == "lazy-backward"
+        assert not result.ok and result.method == "exact"
         assert result.stats["audit"]["status"] == "certified"
 
     def test_degraded_fast_ok_is_unproven(self):
@@ -258,3 +259,88 @@ class TestAuditComposition:
         report = result.stats["audit"]
         assert report["status"] == "unproven"
         assert "fast-td" in report["reason"]
+
+
+def _spans(span, name):
+    if span.name == name:
+        yield span
+    for child in span.children:
+        yield from _spans(child, name)
+
+
+class TestOnePebbleExactRoute:
+    def test_cold_warm_and_uncached_runs_give_one_counterexample(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(GLOBAL_CACHE, "enabled", True)
+        check = (exponential_transducer(ALPHA), universal(),
+                 leaves_all_a(EXPO_OUT))
+        clear_cache()
+        try:
+            cold = typecheck(*check)
+            tracer = Tracer()
+            with tracing(tracer):
+                warm = typecheck(*check)
+            with cache_disabled():
+                uncached = typecheck(*check)
+        finally:
+            clear_cache()
+        (stored,) = _spans(tracer.root, "pebble.summary-product")
+        assert stored.attrs["cache"] == "hit"
+        assert not cold.ok and cold.method == "exact"
+        for result in (warm, uncached):
+            assert (result.ok, result.method, result.counterexample_input,
+                    result.counterexample_output) \
+                == (cold.ok, cold.method, cold.counterexample_input,
+                    cold.counterexample_output)
+
+
+#: The machines below read only ``f`` and ``a``; the input type's trees
+#: are all ``f(z,z)``.
+READS = RankedAlphabet(leaves={"a"}, internals={"f"})
+EMITS = RankedAlphabet(leaves={"b", "c"}, internals=())
+
+
+def emit_b_at_root(pebbles: int) -> PebbleTransducer:
+    """Emits ``b`` at an ``f`` root without reading its children; with
+    two pebbles, after placing the second one there."""
+    if pebbles == 1:
+        rules = {("f", "q", ()): (Emit0("b"),)}
+    else:
+        rules = {
+            ("f", "q", ()): (Place("r"),),
+            ("f", "r", (1,)): (Emit0("b"),),
+        }
+    return PebbleTransducer(
+        input_alphabet=READS, output_alphabet=EMITS,
+        levels=[["q"], ["r"]][:pebbles], initial="q", rules=rules,
+    )
+
+
+class TestInputTypeBeyondTheMachine:
+    """The input type may use symbols the machine has no rules for.  The
+    machine still runs on such trees, stuck only at a node it cannot
+    read, so every method sees the ``b`` it emits at the root."""
+
+    TAU1 = BottomUpTA(
+        alphabet=RankedAlphabet(leaves={"z"}, internals={"f"}),
+        states={"x", "top"},
+        leaf_rules={"z": {"x"}},
+        rules={("f", "x", "x"): {"top"}},
+        accepting={"top"},
+    )
+    TAU2 = BottomUpTA(
+        alphabet=EMITS, states={"ok"}, leaf_rules={"c": {"ok"}}, rules={},
+        accepting={"ok"},
+    )
+
+    @pytest.mark.parametrize("pebbles", [1, 2])
+    @pytest.mark.parametrize("method", ["auto", "exact", "bounded"])
+    def test_every_method_finds_the_type_error(self, method, pebbles):
+        result = typecheck(
+            emit_b_at_root(pebbles), self.TAU1, self.TAU2, method=method
+        )
+        assert not result.ok, result.method
+        assert result.counterexample_input \
+            == BTree("f", BTree("z"), BTree("z"))
+        assert result.counterexample_output == BTree("b")

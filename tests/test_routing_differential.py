@@ -1,8 +1,7 @@
 """Differential evidence that every route returns the same verdicts.
 
-The three exact-class routes — the Theorem 4.4 pipeline, the fast-td
-triple fixpoint, and lazy backward inference — implement one decision
-problem.  This suite drives all applicable routes over random
+The exact-class routes — the Theorem 4.4 pipeline and the fast-td
+triple fixpoint — implement one decision problem.  This suite drives all applicable routes over random
 transducer/type pairs and the worked example machines and asserts:
 
 * the boolean verdicts agree (``method="auto"`` included), and equal
@@ -40,7 +39,6 @@ from repro.typecheck import (
     classify,
     typecheck,
     typecheck_fast,
-    typecheck_lazy,
 )
 from repro.typecheck.engine import as_automaton
 from repro.xmlio import parse_dtd
@@ -159,8 +157,7 @@ def assert_valid_counterexample(transducer, result, input_type, output_type):
 
 def run_all_routes(transducer, input_type, output_type):
     """Every applicable route's result: ``exact`` and ``auto`` by method,
-    ``lazy`` (one pebble) and ``fast`` (the fast-td fragment) by calling
-    the route directly."""
+    and ``fast`` (the fast-td fragment) by calling the route directly."""
     decision = classify(transducer)
     results = {
         "exact": typecheck(
@@ -168,8 +165,6 @@ def run_all_routes(transducer, input_type, output_type):
         ),
         "auto": typecheck(transducer, input_type, output_type, method="auto"),
     }
-    if transducer.k == 1:
-        results["lazy"] = typecheck_lazy(transducer, input_type, output_type)
     if decision.route == "fast-td":
         results["fast"] = typecheck_fast(transducer, input_type, output_type)
     return decision, results
@@ -270,9 +265,9 @@ def worked_examples():
         ("copy-bad", copy_transducer(ALPHA), _type("universal"),
          _type("all-a"), "fast-td", False),
         ("exponential-ok", expo, _type("all-a"), expo_universal_out,
-         "lazy-backward", True),
+         "exact", True),
         ("rotation-ok", rot, rot_universal_in, rot_universal_out,
-         "lazy-backward", True),
+         "exact", True),
         ("xslt-wrap-ok", xslt, IN_DTD, OUT_GOOD, None, True),
         ("xslt-wrap-bad", xslt, IN_DTD, OUT_BAD, None, False),
     ]

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.automata import BottomUpTA
+from repro.automata.bitset import set_reference_algebra
 from repro.errors import ResourceExhausted
 from repro.pebble import (
     copy_transducer,
@@ -239,7 +240,8 @@ class TestGovernedPipeline:
 
     def test_walking_summary_charges_the_governor(self):
         """The eager summary construction (``inverse_type``,
-        ``bad_input_language``) stops at a budget like the lazy one."""
+        ``bad_input_language``) stops at a budget like the exact route's
+        pair explorer."""
         machine = exponential_transducer(ALPHA)
         _, not_tau2 = complement_output_type(machine, leaves_all_a(
             RankedAlphabet(leaves={"a", "b"}, internals={"f", "g", "z"})
@@ -255,6 +257,23 @@ class TestGovernedPipeline:
         with governed(budgeted), pytest.raises(ResourceExhausted) as info:
             walking_automaton_to_ta(walking)
         assert info.value.reason == "steps"
+
+    def test_witness_without_accepting_states_takes_no_step(self):
+        """A stored ``ok`` pair automaton has rules but no accepting
+        state, and a warm check asks it for a witness again."""
+        automaton = BottomUpTA(
+            alphabet=ALPHA, states={"x"}, leaf_rules={"a": {"x"}},
+            rules={(s, "x", "x"): {"x"} for s in ("f", "g")},
+            accepting=(),
+        )
+        previous = set_reference_algebra(False)
+        governor = ResourceGovernor()
+        try:
+            with governed(governor):
+                assert automaton.witness() is None
+        finally:
+            set_reference_algebra(previous)
+        assert governor.steps == 0
 
     def test_determinization_respects_state_budget(self):
         tau = leaves_all_a()

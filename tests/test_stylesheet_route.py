@@ -1,8 +1,8 @@
-"""The ``stylesheet`` route against ``lazy-backward``, and its edges.
+"""The ``stylesheet`` route against ``exact``, and its edges.
 
 A compiled stylesheet checked between two DTDs is decided on the
 stylesheet itself (:mod:`repro.typecheck.stylesheet`).  This suite holds
-it to the verdicts of :func:`~repro.typecheck.typecheck_lazy` on random
+it to the verdicts of ``typecheck(..., method="exact")`` on random
 stylesheets and DTD pairs, replays every witness it reports on the
 stylesheet interpreter and on the compiled machine, and covers each
 reason the router declines it for, its budget degradation and its
@@ -42,7 +42,6 @@ from repro.typecheck import (
     as_automaton,
     classify,
     typecheck,
-    typecheck_lazy,
     typecheck_stylesheet,
 )
 from repro.typecheck.engine import DEGRADED_SUFFIX
@@ -57,14 +56,14 @@ UNDECLARED = "z"
 
 
 def _check(sheet: Stylesheet, tau1: DTD, tau2: DTD):
-    """Run the route and the lazy route on one check; they must agree,
+    """Run the route and the exact route on one check; they must agree,
     and a failure must come with a witness both interpreters replay."""
     machine = xslt_to_transducer(sheet, tags=tau1.symbols, root_tag=tau1.root)
     assert classify(machine, tau1, tau2).route == "stylesheet"
     result = typecheck(machine, tau1, tau2)
     assert result.method == "stylesheet"
-    lazy = typecheck_lazy(machine, tau1, tau2)
-    assert result.ok is lazy.ok
+    exact = typecheck(machine, tau1, tau2, method="exact")
+    assert result.ok is exact.ok
     if not result.ok:
         _assert_replays(sheet, machine, tau1, tau2, result)
     return result
@@ -270,10 +269,10 @@ class TestNamedChecks:
 
 def _declined(machine, tau1, tau2) -> tuple[str, ...]:
     """The stylesheet route's decline reasons as the router reports
-    them; the check then takes ``lazy-backward``, as without the route."""
+    them; the check then takes ``exact``, as without the route."""
     result = typecheck(machine, tau1, tau2)
-    assert result.method == "lazy-backward"
-    assert result.ok is typecheck_lazy(machine, tau1, tau2).ok
+    assert result.method == "exact"
+    assert result.ok is typecheck(machine, tau1, tau2, method="exact").ok
     reasons = result.stats["routing"]["reasons"]
     with pytest.raises(TypecheckError, match="stylesheet route"):
         typecheck_stylesheet(machine, tau1, tau2)
@@ -397,13 +396,10 @@ class TestWiderOutputType:
 
     TAU2 = parse_dtd("out := thing+\nthing :=\nextra :=")
 
-    @pytest.mark.parametrize("route", ["lazy", "exact", "bounded"])
+    @pytest.mark.parametrize("route", ["exact", "bounded"])
     def test_the_witness_is_built(self, route):
         machine = _machine(FILTER, ITEMS)
-        if route == "lazy":
-            result = typecheck_lazy(machine, ITEMS, self.TAU2)
-        else:
-            result = typecheck(machine, ITEMS, self.TAU2, method=route)
+        result = typecheck(machine, ITEMS, self.TAU2, method=route)
         assert not result.ok
         assert decode(result.counterexample_input) == parse_xml("<doc/>")
         assert decode(result.counterexample_output) == parse_xml("<out/>")
