@@ -36,6 +36,7 @@ from repro.pebble.transducer import (
 )
 from repro.runtime.cache import set_source_key
 from repro.runtime.governor import current_governor
+from repro.runtime.trace import current_tracer
 from repro.trees.alphabet import CONS, NIL, encoded_alphabet
 from repro.trees.unranked import UTree
 from repro.xmlio.parser import parse_xml
@@ -262,6 +263,10 @@ class _XsltCompiler:
         self.states: set = set()
         self.alphabet = encoded_alphabet(tags)
         self.output = encoded_alphabet(stylesheet.output_tags())
+        if root_tag not in tags:
+            raise PebbleMachineError(
+                f"the root tag {root_tag!r} is not among the input tags"
+            )
 
     # list addressing: within template `tag`, a list id is a tuple path;
     # ("L",) is the body (top list), ("L", 3, 1) descends into items.
@@ -400,19 +405,31 @@ def xslt_to_transducer(
     """Compile a stylesheet to a 1-pebble transducer on encoded trees.
 
     ``tags`` are the input element tags (each needs a template);
-    ``root_tag`` must label the document root only: below the root,
-    its template's list ends the output as if at the document root,
-    dropping that node's later siblings.  The compiler is deterministic,
-    so the transducer carries a source key over the stylesheet, ``tags``
-    and ``root_tag`` (:func:`~repro.runtime.cache.set_source_key`): memo
-    keys built on it hash the stylesheet, not the machine, and
+    ``root_tag``, one of them, must label the document root only: below
+    the root, its template's list ends the output as if at the document
+    root, dropping that node's later siblings.  A stylesheet outside the
+    fragment raises :class:`~repro.errors.PebbleMachineError` here.
+
+    The rule table is built, and validated, on the machine's first read
+    (:meth:`~repro.pebble.transducer.PebbleTransducer._deferred`), in an
+    ``xslt-compile`` span: the ``stylesheet`` route decides an ``ok``
+    check from the stylesheet alone and never reads the machine.  The
+    compiler is deterministic, so the transducer carries a source key
+    over the stylesheet, ``tags`` and ``root_tag``
+    (:func:`~repro.runtime.cache.set_source_key`): memo keys built on it
+    hash the stylesheet, not the machine, and
     :func:`~repro.runtime.cache.source_of` gives all three back.
     """
     tags = frozenset(tags)
-    machine = _XsltCompiler(stylesheet, tags, root_tag).compile()
+    compiler = _XsltCompiler(stylesheet, tags, root_tag)
+
+    def build() -> PebbleTransducer:
+        with current_tracer().span("xslt-compile"):
+            return compiler.compile()
+
     return set_source_key(
-        machine, "xslt_to_transducer", (stylesheet,),
-        (tuple(sorted(tags)), root_tag),
+        PebbleTransducer._deferred(build), "xslt_to_transducer",
+        (stylesheet,), (tuple(sorted(tags)), root_tag),
     )
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from repro.errors import PebbleMachineError
 from repro.trees.alphabet import RankedAlphabet
@@ -252,6 +252,12 @@ class PebbleMachine:
     def _validate(self, guard_alphabet: RankedAlphabet) -> None:
         if self.level_of.get(self.initial) != 1:
             raise PebbleMachineError("the initial state must be in Q1")
+        # An action's checks read only its level, and a wildcard rule
+        # shares one action object among every guard it expands to, so
+        # each (level, action object) is checked once, at its first
+        # guard in table order: the first error is the same.  Identity,
+        # not equality: hashing an action costs more than checking it.
+        checked: set[tuple[int, int]] = set()
         for (symbol, state, bits), actions in self.rules.items():
             if symbol not in guard_alphabet:
                 raise PebbleMachineError(f"guard symbol {symbol!r} unknown")
@@ -264,7 +270,10 @@ class PebbleMachine:
                     f"{len(bits)} pebble bits"
                 )
             for action in actions:
-                self._validate_action(state, level, action)
+                key = (level, id(action))
+                if key not in checked:
+                    checked.add(key)
+                    self._validate_action(state, level, action)
 
     def _validate_action(self, state: State, level: int, action: Action) -> None:
         if isinstance(action, Move):
@@ -349,6 +358,36 @@ class PebbleTransducer(PebbleMachine):
         object.__setattr__(self, "input_alphabet", input_alphabet)
         object.__setattr__(self, "output_alphabet", output_alphabet)
         super().__init__(input_alphabet, levels, initial, rules)
+
+    @classmethod
+    def _deferred(
+        cls, build: Callable[[], "PebbleTransducer"]
+    ) -> "PebbleTransducer":
+        """A transducer whose fields ``build()`` makes on their first
+        read, so a caller that never reads the machine never builds it.
+        Every reader builds it: a field, a method or property reading
+        one, ``==``, ``repr``, a fingerprint and pickling (which sends
+        the built machine).  ``build`` must be deterministic, and it
+        runs once unless it raises."""
+        machine = object.__new__(cls)
+        object.__setattr__(machine, "_build", build)
+        return machine
+
+    def __getattr__(self, name: str):
+        # reached only when ``name`` is not set on the instance yet
+        build = self.__dict__.get("_build")
+        if build is None or name not in self.__dataclass_fields__:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        self.__dict__.update(vars(build()))
+        self.__dict__.pop("_build", None)
+        return self.__dict__[name]
+
+    def __getstate__(self) -> dict:
+        if "_build" in self.__dict__:  # a deferred machine pickles built
+            self.__getattr__("rules")
+        return self.__dict__
 
     def _validate_terminal(self, level: int, action: Action) -> None:
         if isinstance(action, Emit0):

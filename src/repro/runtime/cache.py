@@ -30,7 +30,8 @@ on sharing.  This module provides the sharing:
   the same slot, so a repeated check keys on the stylesheet and DTDs
   it was given rather than on the automata built from them.  The key
   also remembers those sources (:func:`source_of`), so a route can
-  reason about a compiled stylesheet as the stylesheet it came from.
+  reason about a compiled stylesheet as the stylesheet it came from;
+  the digest is taken only when a memo key first needs it.
 * **A process-wide bounded LRU memo table** (:data:`GLOBAL_CACHE`) keyed
   on ``(operation, fingerprints, extras)``.  :func:`memoized` is the
   single entry point the algebra call sites use.  Each entry's size for
@@ -890,12 +891,12 @@ def memo_key(
     derivation contributes that digest instead of its fingerprint: a
     pebble automaton :func:`memoized` returned carries a digest of an
     earlier key, and a front-end construction's result its source key
-    (:func:`set_source_key`), a digest of fingerprints; both are just
-    as stable.
+    (:func:`set_source_key`), whose digest of fingerprints the first
+    key that needs it takes; both are just as stable.
     """
     fps = tuple(
-        getattr(value, _DERIVATION_ATTR, None)
-        or fingerprint(value, exact=exact)
+        str(getattr(value, _DERIVATION_ATTR, None)
+            or fingerprint(value, exact=exact))
         for value in inputs
     )
     return f"{operation}|{'|'.join(fps)}|{stable_repr(extra)}"
@@ -904,37 +905,61 @@ def memo_key(
 def set_source_key(
     value: Any, construction: str, sources: tuple, extra: tuple = ()
 ) -> Any:
-    """Tag ``value``, just built by ``construction`` from ``sources``,
-    with its *source key*, and return it.
+    """Tag ``value``, built by ``construction`` from ``sources``, with
+    its *source key* (:class:`SourceKey`), and return it.
 
-    The key is a digest of the construction's name, the sources'
-    fingerprints and ``extra`` (the construction's other arguments).
-    It sits in the derivation slot, so :func:`memo_key` uses it in place
-    of ``value``'s fingerprint: a repeated check keys its automata on
-    the stylesheet and DTDs they came from instead of hashing them.
-    That is sound only when equal keys mean identical values, state
-    names included, in every process: ``construction`` must be
-    deterministic, and each source's fingerprint must hash names
-    exactly (those of a ``DTD`` and a ``Stylesheet`` do).  The key is
-    computed in a ``fingerprint`` span, so a trace counts it as keying.
+    The key records the construction's name, its ``sources`` and
+    ``extra`` (the construction's other arguments).  It sits in the
+    derivation slot, so :func:`memo_key` uses its digest in place of
+    ``value``'s fingerprint: a repeated check keys its automata on the
+    stylesheet and DTDs they came from instead of hashing them.  That
+    is sound only when equal keys mean identical values, state names
+    included, in every process: ``construction`` must be deterministic,
+    and each source's fingerprint must hash names exactly (those of a
+    ``DTD`` and a ``Stylesheet`` do).  Nothing is hashed here: the
+    digest is taken when a memo key first needs it.
     """
-    with current_tracer().span("fingerprint"):
-        payload = [construction]
-        payload.extend(fingerprint(source, exact=True) for source in sources)
-        payload.append(stable_repr(extra))
-        key = SourceKey(_digest("src", payload))
-    key.construction, key.sources, key.extra = construction, sources, extra
+    key = SourceKey(construction, sources, extra)
     object.__setattr__(value, _DERIVATION_ATTR, key)
     return value
 
 
-class SourceKey(str):
-    """A source key (:func:`set_source_key`): the digest itself, plus
-    the ``construction``, ``sources`` and ``extra`` it was taken over."""
+class SourceKey:
+    """A source key (:func:`set_source_key`): the ``construction``,
+    ``sources`` and ``extra`` it stands for, and their digest,
+    ``str(key)``, a ``src:`` string taken over the construction's name,
+    the sources' exact fingerprints and ``extra`` on first use.  Keys
+    compare and hash by digest."""
 
-    construction: str
-    sources: tuple
-    extra: tuple
+    #: the digest, once taken
+    _text: Optional[str] = None
+
+    def __init__(self, construction: str, sources: tuple, extra: tuple
+                 ) -> None:
+        self.construction = construction
+        self.sources = sources
+        self.extra = extra
+
+    def __str__(self) -> str:
+        if self._text is None:
+            payload = [self.construction]
+            payload.extend(
+                fingerprint(source, exact=True) for source in self.sources
+            )
+            payload.append(stable_repr(self.extra))
+            self._text = _digest("src", payload)
+        return self._text
+
+    def __repr__(self) -> str:
+        return f"SourceKey({str(self)!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (SourceKey, str)):
+            return str(self) == str(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(str(self))
 
 
 def source_of(value: Any) -> Optional[SourceKey]:

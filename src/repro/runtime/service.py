@@ -108,6 +108,7 @@ from repro.runtime.supervisor import (
     WorkerPool,
     _deadline_at,
     _Journal,
+    _number,
     completed_results,
 )
 from repro.runtime.trace import current_tracer, tracing
@@ -1163,10 +1164,14 @@ class ServiceDaemon:
             except SupervisorError as error:
                 return {"ok": False, "error": str(error)}
             timeout = request.get("timeout")
+            if timeout is not None:
+                # refused before submit() journals anything
+                try:
+                    timeout = _number(timeout, "timeout")
+                except SupervisorError as error:
+                    return {"ok": False, "error": f"bad request: {error}"}
             return self.submit(
-                spec,
-                wait=bool(request.get("wait", True)),
-                timeout=float(timeout) if timeout is not None else None,
+                spec, wait=bool(request.get("wait", True)), timeout=timeout,
             )
         return {"ok": False, "error": f"unknown op {op!r}"}
 

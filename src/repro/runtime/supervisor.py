@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import threading
@@ -139,6 +140,25 @@ RESULT_SCHEMA = "repro-job-result/v2"
 # -- declarative pieces ------------------------------------------------------
 
 
+def _object(value: Any, name: str) -> None:
+    """Refuse a spec field ``name`` that is not a JSON object."""
+    if not isinstance(value, Mapping):
+        raise SupervisorError(f"{name} must be an object, got {value!r}")
+
+
+def _number(value: Any, name: str, kind: type = float) -> Any:
+    """The spec field ``name`` as a finite ``kind`` (``float`` or
+    ``int``), or :class:`~repro.errors.SupervisorError` naming it."""
+    try:
+        number = kind(value)
+        if math.isfinite(number):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    noun = "an integer" if kind is int else "a finite number"
+    raise SupervisorError(f"{name} must be {noun}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class JobLimits:
     """Hard, non-cooperative limits enforced by the supervisor.
@@ -163,13 +183,19 @@ class JobLimits:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "JobLimits":
+        _object(data, "limits")
         rss = data.get("rss_bytes")
         if rss is None and data.get("rss_mb") is not None:
-            rss = int(float(data["rss_mb"]) * 1024 * 1024)
+            rss = int(_number(data["rss_mb"], "limits.rss_mb") * 1024 * 1024)
         wall = data.get("wall_seconds")
         return cls(
-            wall_seconds=float(wall) if wall is not None else None,
-            rss_bytes=int(rss) if rss is not None else None,
+            wall_seconds=(
+                None if wall is None
+                else _number(wall, "limits.wall_seconds")
+            ),
+            rss_bytes=(
+                None if rss is None else _number(rss, "limits.rss_bytes", int)
+            ),
         )
 
 
@@ -236,15 +262,22 @@ class RetryPolicy:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RetryPolicy":
-        kwargs = {}
+        _object(data, "retry")
+        kwargs: dict[str, Any] = {}
         for name in ("max_attempts", "seed"):
             if data.get(name) is not None:
-                kwargs[name] = int(data[name])
+                kwargs[name] = _number(data[name], f"retry.{name}", int)
         for name in ("base_delay", "factor", "jitter", "budget_scale"):
             if data.get(name) is not None:
-                kwargs[name] = float(data[name])
-        if data.get("retry_on") is not None:
-            kwargs["retry_on"] = tuple(data["retry_on"])
+                kwargs[name] = _number(data[name], f"retry.{name}")
+        retry_on = data.get("retry_on")
+        if retry_on is not None:
+            if not isinstance(retry_on, (list, tuple)):
+                raise SupervisorError(
+                    f"retry.retry_on must be a list of statuses, got "
+                    f"{retry_on!r}"
+                )
+            kwargs["retry_on"] = tuple(retry_on)
         if data.get("degrade") is not None:
             kwargs["degrade"] = bool(data["degrade"])
         return cls(**kwargs)
@@ -285,6 +318,10 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "JobSpec":
+        """The spec a manifest line or ``submit`` request holds.  A
+        malformed field (a non-object ``params``, ``limits`` or
+        ``retry``, a number that is not one or not finite) raises
+        :class:`~repro.errors.SupervisorError` naming it."""
         if not isinstance(data, Mapping):
             raise SupervisorError(f"manifest entry is not an object: {data!r}")
         limits = data.get("limits")
@@ -299,13 +336,21 @@ class JobSpec:
                 for key, value in data.items()
                 if key not in ("id", "kind", "limits", "retry", "deadline_ms")
             }
+        _object(params, "params")
         return cls(
             id=str(data.get("id", "")),
             kind=data.get("kind", ""),
             params=dict(params),
-            limits=JobLimits.from_dict(limits) if limits else None,
-            retry=RetryPolicy.from_dict(retry) if retry else None,
-            deadline_ms=float(deadline_ms) if deadline_ms is not None else None,
+            limits=(
+                None if limits in (None, {}) else JobLimits.from_dict(limits)
+            ),
+            retry=(
+                None if retry in (None, {}) else RetryPolicy.from_dict(retry)
+            ),
+            deadline_ms=(
+                None if deadline_ms is None
+                else _number(deadline_ms, "deadline_ms")
+            ),
         )
 
     def to_dict(self) -> dict:

@@ -626,8 +626,10 @@ def _typecheck_exact(
     started = time.perf_counter()
     gov = current_governor()
     tracer = current_tracer()
+    # read outside the coercion span: it builds a deferred machine
+    alphabet = transducer.input_alphabet
     with tracer.span("coerce-input-type"):
-        tau1 = as_automaton(input_type, transducer.input_alphabet)
+        tau1 = as_automaton(input_type, alphabet)
     machine = transducer
     wider = transducer.input_alphabet.union(tau1.alphabet)
     if transducer.k > 1 and wider != transducer.input_alphabet:

@@ -274,7 +274,7 @@ class TestSourceKeys:
         one, two = _from_texts("wrap-ok"), _from_texts("wrap-ok")
         assert one[0] is not two[0]
         assert _derivation(one[0]) == _derivation(two[0])
-        assert _derivation(one[0]).startswith("src:")
+        assert str(_derivation(one[0])).startswith("src:")
         for left, right in zip(one[1:], two[1:]):
             assert _derivation(as_automaton(left)) \
                 == _derivation(as_automaton(right))

@@ -92,6 +92,23 @@ class TestValidation:
         with pytest.raises(PebbleMachineError):
             tiny(rules)
 
+    def test_a_shared_action_is_checked_once_per_level(self):
+        # one action object under several guards: the first error names
+        # the first guard's state, and a level it was not checked at
+        # yet checks it again
+        bad = Move("stay", "r")
+        with pytest.raises(PebbleMachineError,
+                           match="move from 'q' must stay in level 1"):
+            PebbleTransducer(ALPHA, ALPHA, [["q", "p"], ["r"]], "q", {
+                ("a", "q", ()): (bad,), ("f", "p", ()): (bad,),
+            })
+        shared = Move("stay", "p")
+        with pytest.raises(PebbleMachineError,
+                           match="move from 'r' must stay in level 2"):
+            PebbleTransducer(ALPHA, ALPHA, [["q", "p"], ["r"]], "q", {
+                ("a", "q", ()): (shared,), ("a", "r", (0,)): (shared,),
+            })
+
     def test_stats_and_determinism(self):
         machine = copy_transducer(
             RankedAlphabet(leaves={"a", "b"}, internals={"f"})

@@ -130,6 +130,32 @@ def test_malformed_requests_get_clean_errors(make_daemon):
     assert "unknown kind" in response["error"]
 
 
+def test_malformed_submits_are_refused_and_journal_nothing(make_daemon):
+    daemon = make_daemon(workers=1)
+    # a connection thread that dies holds its socket open until a
+    # garbage collection, so the client must not wait forever
+    client = ServiceClient(daemon.socket_path, timeout=10)
+    job = validate_job("j").to_dict()
+    for request in (
+        {"job": {**job, "params": ["dtd_text", TINY_DTD]}},
+        {"job": {**job, "limits": "x"}},
+        {"job": {**job, "limits": {"wall_seconds": "abc"}}},
+        {"job": {**job, "retry": "x"}},
+        {"job": {**job, "deadline_ms": "soon"}},
+        {"job": job, "timeout": "abc"},
+        {"job": job, "timeout": [1]},
+    ):
+        response = client.request({"op": "submit", **request})
+        assert response["ok"] is False, request
+        assert response["error"], request
+        if "timeout" in request:
+            assert response["error"].startswith("bad request: timeout")
+    assert not daemon.queue_path.exists() \
+        or not daemon.queue_path.read_text()
+    assert client.ping()["ok"]
+    assert client.submit(validate_job("j"))["result"]["status"] == OK
+
+
 def test_client_raises_service_error_when_no_daemon(tmp_path):
     client = ServiceClient(tmp_path / "nothing.sock")
     with pytest.raises(ServiceError):

@@ -6,13 +6,16 @@ it to the verdicts of ``typecheck(..., method="exact")`` on random
 stylesheets and DTD pairs, replays every witness it reports on the
 stylesheet interpreter and on the compiled machine, and covers each
 reason the router declines it for, its budget degradation and its
-audit.  The CI routing job runs it again under ``REPRO_CACHE=0``, and
-the audit job under ``REPRO_AUDIT=witness``.
+audit.  The compiled machine is built on its first read, so an ``ok``
+check builds nothing, and every reader builds the machine an eager
+compile gives, once.  The CI routing job runs it again under
+``REPRO_CACHE=0``, and the audit job under ``REPRO_AUDIT=witness``.
 """
 
 from __future__ import annotations
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -33,8 +36,16 @@ from repro.lang import (
     q2_stylesheet,
     xslt_to_transducer,
 )
-from repro.pebble import copy_transducer, evaluate
+from repro.lang.xslt import _XsltCompiler
+from repro.pebble import PebbleTransducer, copy_transducer, evaluate
 from repro.regex import EMPTY, EPSILON, concat, optional, star, sym, union
+from repro.runtime import cache as cache_module
+from repro.runtime.cache import (
+    fingerprint,
+    set_source_key,
+    source_of,
+    stable_repr,
+)
 from repro.runtime.jobs import execute_classified, typecheck_inputs
 from repro.trees import decode, encoded_alphabet
 from repro.typecheck import (
@@ -403,3 +414,169 @@ class TestWiderOutputType:
         assert not result.ok
         assert decode(result.counterexample_input) == parse_xml("<doc/>")
         assert decode(result.counterexample_output) == parse_xml("<out/>")
+
+
+# -- the machine is built on its first read -----------------------------------
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of ``_XsltCompiler.compile`` calls and of ``src:`` digests
+    (source keys hashed) from here on."""
+    counts = {"compile": 0, "src": 0}
+    compile_ = _XsltCompiler.compile
+    digest = cache_module._digest
+
+    def counted_compile(self):
+        counts["compile"] += 1
+        return compile_(self)
+
+    def counted_digest(tag, payload):
+        counts["src"] += tag == "src"
+        return digest(tag, payload)
+
+    monkeypatch.setattr(_XsltCompiler, "compile", counted_compile)
+    monkeypatch.setattr(cache_module, "_digest", counted_digest)
+    return counts
+
+
+def _eager(sheet: Stylesheet, tau1: DTD) -> PebbleTransducer:
+    """The machine built at once, under the same source key."""
+    tags = frozenset(tau1.symbols)
+    machine = _XsltCompiler(sheet, tags, tau1.root).compile()
+    return set_source_key(machine, "xslt_to_transducer", (sheet,),
+                          (tuple(sorted(tags)), tau1.root))
+
+
+#: the filter needs a ``thing``, and emits none on ``<doc/>``
+SOME_THINGS = parse_dtd("out := thing+\nthing :=")
+#: an element the filter was not compiled for: the route declines
+WITH_OTHER = parse_dtd("doc := item*.other?\nitem :=\nother :=")
+
+
+def _verdict(result) -> tuple:
+    audit = result.stats.get("audit", {}).get("status")
+    return (result.ok, result.method, result.counterexample_input,
+            result.counterexample_output, audit)
+
+
+#: name -> a reader of the machine, and the verdict it must give
+READERS = {
+    "stylesheet-type-error": (
+        lambda machine: typecheck(machine, ITEMS, SOME_THINGS), False),
+    "exact": (lambda machine: typecheck(machine, ITEMS, SOME_THINGS,
+                                        method="exact"), False),
+    "bounded": (lambda machine: typecheck(machine, ITEMS, SOME_THINGS,
+                                          method="bounded"), False),
+    "declined": (lambda machine: typecheck(machine, WITH_OTHER, THINGS),
+                 True),
+    "witness-audit": (lambda machine: typecheck(
+        machine, ITEMS, SOME_THINGS, audit="witness"), False),
+    "full-audit-ok": (lambda machine: typecheck(
+        machine, ITEMS, THINGS, audit="full"), True),
+}
+
+
+class TestDeferredCompile:
+    """``xslt_to_transducer`` checks the stylesheet at once and builds
+    the machine on its first read."""
+
+    def test_an_ok_check_builds_nothing(self, builds):
+        result = typecheck(_machine(FILTER, ITEMS), ITEMS, THINGS)
+        assert (result.ok, result.method) == (True, "stylesheet")
+        outcome = execute_classified({"kind": "typecheck", "params": {
+            "stylesheet_text": (
+                '<xsl:template match="doc"><out><xsl:apply-templates/>'
+                '</out></xsl:template>'
+                '<xsl:template match="item"><thing/></xsl:template>'
+            ),
+            "input_dtd_text": "doc := item*\nitem :=",
+            "output_dtd_text": "out := thing*\nthing :=",
+        }})
+        assert (outcome["status"], outcome["method"]) == ("ok", "stylesheet")
+        assert builds == {"compile": 0, "src": 0}
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_each_reader_builds_once(self, builds, reader):
+        read, ok = READERS[reader]
+        eager = _eager(FILTER, ITEMS)
+        expected = _verdict(read(eager))
+        builds["compile"] = 0
+        machine = _machine(FILTER, ITEMS)
+        result = read(machine)
+        assert builds["compile"] == 1
+        assert _verdict(result) == expected
+        assert result.ok is ok
+        if "audit" in reader:
+            assert result.stats["audit"]["status"] == "certified"
+        # later readers reuse the machine the first one built
+        assert _verdict(read(machine)) == expected
+        assert machine == eager
+        assert builds["compile"] == 1
+
+    @pytest.mark.parametrize("reader", [
+        lambda machine, eager: pickle.loads(pickle.dumps(machine)),
+        lambda machine, eager: machine == eager,
+        lambda machine, eager: repr(machine),
+        lambda machine, eager: fingerprint(machine),
+    ], ids=["pickle", "eq", "repr", "fingerprint"])
+    def test_the_other_readers_build_once(self, builds, reader):
+        eager = _eager(FILTER, ITEMS)
+        expected = reader(eager, eager)
+        builds["compile"] = 0
+        machine = _machine(FILTER, ITEMS)
+        assert reader(machine, eager) == expected
+        assert builds["compile"] == 1
+        assert reader(machine, eager) == expected
+        assert builds["compile"] == 1
+
+    @pytest.mark.parametrize("sheet,tau1", [
+        (FILTER, ITEMS),
+        (q2_stylesheet(), parse_dtd("root := a*\na :=")),
+        (_sheet('<xsl:template match="doc"><out><xsl:apply-templates/>'
+                '<sep/><xsl:apply-templates/></out></xsl:template>'
+                '<xsl:template match="sec"><part><xsl:apply-templates/>'
+                '</part></xsl:template>'
+                '<xsl:template match="par"><p/></xsl:template>'),
+         parse_dtd("doc := sec*\nsec := par*\npar :=")),
+    ], ids=["filter", "q2", "nested"])
+    def test_the_built_machine_is_the_eager_one(self, sheet, tau1):
+        machine, eager = _machine(sheet, tau1), _eager(sheet, tau1)
+        assert type(machine) is PebbleTransducer
+        assert machine.rules == eager.rules
+        assert stable_repr(machine) == stable_repr(eager)
+        assert repr(machine) == repr(eager)
+        assert fingerprint(machine) == fingerprint(eager)
+        assert fingerprint(machine).startswith("pt:")
+
+    def test_the_source_digest_is_unchanged(self, builds):
+        machine = _machine(FILTER, ITEMS)
+        assert source_of(machine).sources == (FILTER,)
+        assert builds == {"compile": 0, "src": 0}
+        # pinned: disk segments written by earlier daemons key on it
+        assert str(source_of(machine)) \
+            == "src:befc3db503a5aa7f6b570fe78a20ef07"
+        assert source_of(machine) == source_of(_machine(FILTER, ITEMS))
+        assert builds == {"compile": 0, "src": 2}
+        assert fingerprint(machine) == "pt:ae700df3f2c4d4be435d782564d3310e"
+
+    @pytest.mark.parametrize("templates,tags,root_tag,message", [
+        ('<xsl:template match="doc"><out/></xsl:template>',
+         {"doc", "item"}, "doc", "no template matches 'item'"),
+        ('<xsl:template match="doc"><out><xsl:apply-templates/></out>'
+         "</xsl:template>"
+         '<xsl:template match="item"><xsl:apply-templates/><thing/>'
+         "<xsl:apply-templates/></xsl:template>",
+         {"doc", "item"}, "doc", "several apply-templates"),
+        ('<xsl:template match="doc"><out/><out/></xsl:template>',
+         {"doc"}, "doc", "single element"),
+        ('<xsl:template match="doc"><out/></xsl:template>'
+         '<xsl:template match="item"><thing/></xsl:template>',
+         {"item"}, "doc", "'doc'"),
+    ], ids=["missing-template", "two-applies", "root-body", "root-tag"])
+    def test_fragment_errors_raise_at_once(self, builds, templates, tags,
+                                           root_tag, message):
+        with pytest.raises(PebbleMachineError, match=message):
+            xslt_to_transducer(_sheet(templates), tags=tags,
+                               root_tag=root_tag)
+        assert builds["compile"] == 0  # checked without building

@@ -391,6 +391,39 @@ def test_manifest_roundtrip_and_errors(tmp_path):
         load_manifest(str(bad))
 
 
+MALFORMED_SPECS = [
+    ({"limits": "x"}, "limits must be an object"),
+    ({"limits": {"wall_seconds": "abc"}}, "limits.wall_seconds"),
+    ({"limits": {"rss_mb": float("inf")}}, "limits.rss_mb"),
+    ({"retry": "x"}, "retry must be an object"),
+    ({"retry": {"max_attempts": [2]}}, "retry.max_attempts"),
+    ({"retry": {"jitter": float("nan")}}, "retry.jitter"),
+    ({"retry": {"retry_on": 3}}, "retry.retry_on"),
+    ({"params": [["stylesheet_text", "x"]]}, "params must be an object"),
+    ({"deadline_ms": "soon"}, "deadline_ms"),
+    ({"deadline_ms": float("inf")}, "deadline_ms"),
+]
+
+
+@pytest.mark.parametrize("fields,message", MALFORMED_SPECS)
+def test_a_malformed_spec_field_is_a_usage_error(tmp_path, fields,
+                                                 message):
+    from repro.cli import main
+
+    manifest = tmp_path / "jobs.jsonl"
+    good = {"id": "j1", "kind": "validate", "params": VALID_PARAMS}
+    manifest.write_text(
+        json.dumps(good) + "\n"
+        + json.dumps({"id": "j2", "kind": "validate", **fields}) + "\n"
+    )
+    with pytest.raises(SupervisorError, match=f":2: .*{message}"):
+        load_manifest(str(manifest))
+    results = tmp_path / "results.jsonl"
+    assert main(["batch", str(manifest),
+                 "--results", str(results)]) == EXIT_USAGE
+    assert not results.exists() or not results.read_text()
+
+
 def test_duplicate_job_ids_rejected():
     specs = [validate_spec("dup"), validate_spec("dup")]
     with pytest.raises(SupervisorError, match="duplicate job id"):
