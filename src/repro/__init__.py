@@ -22,84 +22,36 @@ See ``examples/quickstart.py`` and the README for a tour.
 
 __version__ = "1.0.0"
 
-# Re-export the most commonly used names.  Subsystem modules stay importable
-# on their own (repro.trees, repro.regex, repro.automata, repro.mso,
-# repro.pebble, repro.typecheck, repro.lang, repro.ext, repro.data).
-from repro.errors import (
-    AlphabetError,
-    AutomatonError,
-    DTDError,
-    MSOError,
-    PebbleMachineError,
-    RegexError,
-    ReproError,
-    ResourceExhausted,
-    TransducerRuntimeError,
-    TreeError,
-    TypecheckError,
-    UndecidableError,
-    XMLParseError,
-)
-from repro.runtime import (
-    Budget,
-    Deadline,
-    ResourceGovernor,
-    governed,
-    make_governor,
-)
-from repro.trees import (
-    BTree,
-    RankedAlphabet,
-    UTree,
-    decode,
-    encode,
-    encoded_alphabet,
-    u,
-)
-from repro.xmlio import DTD, SpecializedDTD, parse_dtd, parse_dtd_xml, \
-    parse_xml, to_xml
-from repro.typecheck import (
-    TypecheckResult,
-    inverse_type,
-    typecheck,
-    typecheck_forward,
-)
+# Re-export the most commonly used names, each imported on first use.
+# Subsystem packages stay importable on their own (repro.trees,
+# repro.regex, repro.automata, repro.mso, repro.pebble, repro.typecheck,
+# repro.lang, repro.ext, repro.data).
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DTD",
-    "SpecializedDTD",
-    "parse_dtd",
-    "parse_dtd_xml",
-    "parse_xml",
-    "to_xml",
-    "TypecheckResult",
-    "inverse_type",
-    "typecheck",
-    "typecheck_forward",
-    "__version__",
-    "AlphabetError",
-    "AutomatonError",
-    "DTDError",
-    "MSOError",
-    "PebbleMachineError",
-    "RegexError",
-    "ReproError",
-    "ResourceExhausted",
-    "TransducerRuntimeError",
-    "TreeError",
-    "TypecheckError",
-    "UndecidableError",
-    "XMLParseError",
-    "Budget",
-    "Deadline",
-    "ResourceGovernor",
-    "governed",
-    "make_governor",
-    "BTree",
-    "RankedAlphabet",
-    "UTree",
-    "decode",
-    "encode",
-    "encoded_alphabet",
-    "u",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.xmlio.dtd": ("DTD", "parse_dtd", "parse_dtd_xml"),
+    "repro.xmlio.specialized": ("SpecializedDTD",),
+    "repro.xmlio.parser": ("parse_xml",),
+    "repro.xmlio.serializer": ("to_xml",),
+    "repro.typecheck.engine": ("TypecheckResult", "inverse_type", "typecheck"),
+    "repro.typecheck.forward": ("typecheck_forward",),
+    "repro.errors": (
+        "AlphabetError", "AutomatonError", "DTDError", "MSOError",
+        "PebbleMachineError", "RegexError", "ReproError", "ResourceExhausted",
+        "TransducerRuntimeError", "TreeError", "TypecheckError",
+        "UndecidableError", "XMLParseError",
+    ),
+    "repro.runtime.governor": (
+        "Budget", "Deadline", "ResourceGovernor", "governed", "make_governor",
+    ),
+    "repro.trees.ranked": ("BTree",),
+    "repro.trees.alphabet": ("RankedAlphabet", "encoded_alphabet"),
+    "repro.trees.unranked": ("UTree", "u"),
+    "repro.trees.encoding": ("decode", "encode"),
+})
+__all__.append("__version__")
+
+# bound eagerly: the function is named like the repro.typecheck package,
+# which would replace a lazy binding once anything imported it
+# (DESIGN.md §4)
+from repro.typecheck.engine import typecheck  # noqa: E402

@@ -1,32 +1,12 @@
 """XML query-language front ends compiled to k-pebble transducers."""
 
-from repro.lang.patterns import Pattern, match, match_count, pattern
-from repro.lang.xmlql import RESULT, q1_transducer, selection_transducer
-from repro.lang.xslt import (
-    Apply,
-    Out,
-    Stylesheet,
-    Template,
-    apply_stylesheet,
-    parse_stylesheet,
-    q2_stylesheet,
-    xslt_to_transducer,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Pattern",
-    "match",
-    "match_count",
-    "pattern",
-    "RESULT",
-    "q1_transducer",
-    "selection_transducer",
-    "Apply",
-    "Out",
-    "Stylesheet",
-    "Template",
-    "apply_stylesheet",
-    "parse_stylesheet",
-    "q2_stylesheet",
-    "xslt_to_transducer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.lang.patterns": ("Pattern", "match", "match_count", "pattern"),
+    "repro.lang.xmlql": ("RESULT", "q1_transducer", "selection_transducer"),
+    "repro.lang.xslt": (
+        "Apply", "Out", "Stylesheet", "Template", "apply_stylesheet",
+        "parse_stylesheet", "q2_stylesheet", "xslt_to_transducer",
+    ),
+})

@@ -1,75 +1,21 @@
 """Regular expressions over words: syntax, parser, NFA/DFA engines, boolean
 algebra, generalized (star-free) expressions, and path evaluation."""
 
-from repro.regex.dfa import (
-    DFA,
-    compile_regex,
-    determinize,
-    language_is_empty,
-)
-from repro.regex.nfa import NFA, nfa_from_regex
-from repro.regex.parser import parse_regex
-from repro.regex.paths import (
-    eval_regex,
-    eval_regex_binary,
-    eval_word,
-    translate,
-)
-from repro.regex.syntax import (
-    EMPTY,
-    EPSILON,
-    Complement,
-    Concat,
-    Empty,
-    Epsilon,
-    Intersect,
-    Regex,
-    Star,
-    Sym,
-    Union,
-    complement,
-    concat,
-    intersect,
-    literal,
-    optional,
-    plus,
-    star,
-    sym,
-    union,
-    word,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DFA",
-    "compile_regex",
-    "determinize",
-    "language_is_empty",
-    "NFA",
-    "nfa_from_regex",
-    "parse_regex",
-    "eval_regex",
-    "eval_regex_binary",
-    "eval_word",
-    "translate",
-    "EMPTY",
-    "EPSILON",
-    "Complement",
-    "Concat",
-    "Empty",
-    "Epsilon",
-    "Intersect",
-    "Regex",
-    "Star",
-    "Sym",
-    "Union",
-    "complement",
-    "concat",
-    "intersect",
-    "literal",
-    "optional",
-    "plus",
-    "star",
-    "sym",
-    "union",
-    "word",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.regex.dfa": (
+        "DFA", "compile_regex", "determinize", "language_is_empty",
+    ),
+    "repro.regex.nfa": ("NFA", "nfa_from_regex"),
+    "repro.regex.parser": ("parse_regex",),
+    "repro.regex.paths": (
+        "eval_regex", "eval_regex_binary", "eval_word", "translate",
+    ),
+    "repro.regex.syntax": (
+        "EMPTY", "EPSILON", "Complement", "Concat", "Empty", "Epsilon",
+        "Intersect", "Regex", "Star", "Sym", "Union", "complement",
+        "concat", "intersect", "literal", "optional", "plus", "star",
+        "sym", "union", "word",
+    ),
+})

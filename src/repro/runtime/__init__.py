@@ -42,130 +42,36 @@ Cutting across all of the above is the observability layer
 ``repro ... --trace`` or ``REPRO_TRACE``; see docs/observability.md.
 """
 
-from repro.errors import ResourceExhausted
-from repro.runtime.cache import (
-    GLOBAL_CACHE,
-    MemoCache,
-    cache_disabled,
-    cache_stats,
-    clear_cache,
-    configure_cache,
-    fingerprint,
-    install_persistent,
-    memo_key,
-    memoized,
-    persistent_tier,
-    stable_repr,
-)
-from repro.runtime.diskcache import DiskCache
-from repro.runtime.faults import (
-    FaultPlan,
-    FaultSpec,
-    fault_point,
-    injected_faults,
-    install_plan,
-)
-from repro.runtime.governor import (
-    NULL_GOVERNOR,
-    Budget,
-    Deadline,
-    ResourceGovernor,
-    current_governor,
-    governed,
-    make_governor,
-)
-from repro.runtime.jobs import (
-    JOB_KINDS,
-    affinity_key,
-    execute_classified,
-    execute_job,
-)
-from repro.runtime.service import (
-    ServiceClient,
-    ServiceConfig,
-    ServiceDaemon,
-)
-from repro.runtime.trace import (
-    METRICS_SCHEMA,
-    NULL_TRACER,
-    TRACE_SCHEMA,
-    MetricsRegistry,
-    Span,
-    Tracer,
-    current_tracer,
-    iter_jsonl_records,
-    render_tree,
-    summarize,
-    trace_env_setting,
-    tracing,
-    write_jsonl,
-)
-from repro.runtime.supervisor import (
-    BatchReport,
-    JobLimits,
-    JobResult,
-    JobSpec,
-    RetryPolicy,
-    Supervisor,
-    completed_job_ids,
-    completed_results,
-    load_manifest,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Budget",
-    "Deadline",
-    "ResourceGovernor",
-    "ResourceExhausted",
-    "NULL_GOVERNOR",
-    "current_governor",
-    "governed",
-    "make_governor",
-    "MemoCache",
-    "GLOBAL_CACHE",
-    "fingerprint",
-    "memoized",
-    "cache_stats",
-    "clear_cache",
-    "configure_cache",
-    "cache_disabled",
-    "stable_repr",
-    "memo_key",
-    "install_persistent",
-    "persistent_tier",
-    "DiskCache",
-    "FaultPlan",
-    "FaultSpec",
-    "fault_point",
-    "injected_faults",
-    "install_plan",
-    "TRACE_SCHEMA",
-    "METRICS_SCHEMA",
-    "Tracer",
-    "Span",
-    "NULL_TRACER",
-    "MetricsRegistry",
-    "current_tracer",
-    "tracing",
-    "trace_env_setting",
-    "iter_jsonl_records",
-    "render_tree",
-    "summarize",
-    "write_jsonl",
-    "JOB_KINDS",
-    "execute_job",
-    "affinity_key",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceDaemon",
-    "BatchReport",
-    "JobLimits",
-    "JobResult",
-    "JobSpec",
-    "RetryPolicy",
-    "Supervisor",
-    "completed_job_ids",
-    "completed_results",
-    "execute_classified",
-    "load_manifest",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.errors": ("ResourceExhausted",),
+    "repro.runtime.governor": (
+        "Budget", "Deadline", "ResourceGovernor", "NULL_GOVERNOR",
+        "current_governor", "governed", "make_governor",
+    ),
+    "repro.runtime.cache": (
+        "MemoCache", "GLOBAL_CACHE", "fingerprint", "memoized",
+        "cache_stats", "clear_cache", "configure_cache", "cache_disabled",
+        "stable_repr", "memo_key", "install_persistent", "persistent_tier",
+    ),
+    "repro.runtime.diskcache": ("DiskCache",),
+    "repro.runtime.faults": (
+        "FaultPlan", "FaultSpec", "fault_point", "injected_faults",
+        "install_plan",
+    ),
+    "repro.runtime.trace": (
+        "TRACE_SCHEMA", "METRICS_SCHEMA", "Tracer", "Span", "NULL_TRACER",
+        "MetricsRegistry", "current_tracer", "tracing", "trace_env_setting",
+        "iter_jsonl_records", "render_tree", "summarize", "write_jsonl",
+    ),
+    "repro.runtime.jobs": (
+        "JOB_KINDS", "execute_job", "affinity_key", "execute_classified",
+    ),
+    "repro.runtime.service": ("ServiceClient", "ServiceConfig", "ServiceDaemon"),
+    "repro.runtime.supervisor": (
+        "BatchReport", "JobLimits", "JobResult", "JobSpec", "RetryPolicy",
+        "Supervisor", "completed_job_ids", "completed_results",
+        "load_manifest",
+    ),
+})

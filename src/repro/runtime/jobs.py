@@ -43,11 +43,13 @@ the eviction counts).
 from __future__ import annotations
 
 import hashlib
+import importlib
+import math
 import traceback
 from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Any, Iterable, Mapping, Optional
 
 from repro.errors import (
     EXIT_CRASHED,
@@ -198,6 +200,52 @@ def _text_input(params: Mapping, name: str, required: bool = True
     return None
 
 
+def _number(value: Any, name: str, kind: type = float) -> Any:
+    """The field ``name`` as a finite ``kind`` (``float`` or ``int``),
+    or :class:`~repro.errors.SupervisorError` naming it."""
+    try:
+        number = kind(value)
+        if math.isfinite(number):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    noun = "an integer" if kind is int else "a finite number"
+    raise SupervisorError(f"{name} must be {noun}, got {value!r}")
+
+
+def _flag(value: Any, name: str) -> bool:
+    """The field ``name`` as a JSON boolean, or
+    :class:`~repro.errors.SupervisorError` naming it: ``bool()`` would
+    read the string ``"false"`` as true."""
+    if not isinstance(value, bool):
+        raise SupervisorError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _param(params: Mapping, name: str, kind: type, default: Any = None
+           ) -> Any:
+    """The numeric job parameter ``name`` as a finite ``kind``, or
+    ``default`` when it is unset: a malformed one is a usage error
+    naming it, not a crash."""
+    value = params.get(name)
+    return default if value is None else _number(value, name, kind)
+
+
+def import_job_path() -> None:
+    """Import every module a job can run into this process.
+
+    The routes import their machinery on first use (the exact route's
+    is :data:`repro.typecheck.engine.EXACT_MACHINERY`).  A pool calls
+    this before it forks, so its workers inherit every module and none
+    imports inside a job: the imports are paid once per pool, not once
+    per worker."""
+    import repro.audit  # noqa: F401 - certifies verdicts
+    from repro.typecheck import engine, routing  # noqa: F401
+
+    for module in engine.EXACT_MACHINERY:
+        importlib.import_module(module)
+
+
 def execute_classified(payload: Mapping) -> dict:
     """Run one job to exactly one classified outcome dict, in-process.
 
@@ -260,7 +308,7 @@ def execute_job(payload: Mapping) -> dict:
         # headroom keeps the governor firing before the hard wall kill.
         params = dict(params)
         params["timeout"] = clamp_timeout(
-            params.get("timeout"), float(deadline)
+            _param(params, "timeout", float), float(deadline)
         )
     if kind == "typecheck":
         return _job_typecheck(params)
@@ -313,12 +361,12 @@ def _job_typecheck(params: Mapping) -> dict:
         input_dtd,
         output_dtd,
         method=params.get("method", DEFAULT_METHOD),
-        max_inputs=int(params.get("max_inputs", 50)),
-        max_depth=int(params.get("max_depth", 6)),
-        timeout=params.get("timeout"),
-        max_steps=params.get("max_steps"),
-        max_states=params.get("max_states"),
-        fallback=bool(params.get("fallback", False)),
+        max_inputs=_param(params, "max_inputs", int, 50),
+        max_depth=_param(params, "max_depth", int, 6),
+        timeout=_param(params, "timeout", float),
+        max_steps=_param(params, "max_steps", int),
+        max_states=_param(params, "max_states", int),
+        fallback=_flag(params.get("fallback", False), "fallback"),
         audit=params.get("audit"),
     )
     audit = result.stats.get("audit")
@@ -356,7 +404,8 @@ def _job_run(params: Mapping) -> dict:
         sheet = parse_stylesheet(_text_input(params, "stylesheet"))
         document = parse_xml(_text_input(params, "document"))
     governor = make_governor(
-        timeout=params.get("timeout"), max_steps=params.get("max_steps")
+        timeout=_param(params, "timeout", float),
+        max_steps=_param(params, "max_steps", int),
     )
     with tracer.span("apply-stylesheet"), (
         nullcontext() if governor is None else governed(governor)

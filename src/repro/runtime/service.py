@@ -83,8 +83,10 @@ import os
 import queue
 import signal
 import socket
+import sys
 import threading
 import time
+import traceback
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -94,7 +96,7 @@ from repro.errors import EXIT_OK, ServiceError, SupervisorError
 from repro.runtime.diskcache import DiskCache
 from repro.runtime.faults import FaultPlan, fault_point, install_plan
 from repro.runtime.governor import clamp_timeout
-from repro.runtime.jobs import affinity_key
+from repro.runtime.jobs import _flag, _number, affinity_key
 from repro.runtime.supervisor import (
     CRASHED,
     MISCOMPILED,
@@ -108,7 +110,6 @@ from repro.runtime.supervisor import (
     WorkerPool,
     _deadline_at,
     _Journal,
-    _number,
     completed_results,
 )
 from repro.runtime.trace import current_tracer, tracing
@@ -1118,8 +1119,8 @@ class ServiceDaemon:
             ).start()
 
     def _handle_client(self, client: socket.socket) -> None:
-        with client:
-            stream = client.makefile("rwb")
+        # the stream holds the socket's fd open until it is closed too
+        with client, client.makefile("rwb") as stream:
             try:
                 # chaos: a ``delay`` here makes *this daemon* the slow
                 # peer, holding the client's socket without reading
@@ -1127,22 +1128,29 @@ class ServiceDaemon:
                 raw = stream.readline()
                 if not raw:
                     return
-                try:
-                    request = json.loads(raw)
-                    if not isinstance(request, dict):
-                        raise ValueError("request is not an object")
-                except (json.JSONDecodeError, ValueError) as error:
-                    response: dict = {
-                        "ok": False, "error": f"bad request: {error}"
-                    }
-                else:
-                    response = self._dispatch(request)
+                response = self._answer(raw)
+            except OSError:
+                return  # client went away; its job (if any) stays journaled
+            except Exception as error:  # noqa: BLE001 - connection boundary
+                # the daemon keeps serving, and this client gets an answer
+                traceback.print_exc(file=sys.stderr)
+                response = {"ok": False, "error": f"internal error: {error!r}"}
+            try:
                 stream.write(
                     json.dumps(response, sort_keys=True).encode() + b"\n"
                 )
                 stream.flush()
-            except (OSError, BrokenPipeError):
-                pass  # client went away; its job (if any) stays journaled
+            except OSError:
+                pass
+
+    def _answer(self, raw: bytes) -> dict:
+        try:
+            request = json.loads(raw)
+            if not isinstance(request, dict):
+                raise ValueError("request is not an object")
+        except (json.JSONDecodeError, ValueError) as error:
+            return {"ok": False, "error": f"bad request: {error}"}
+        return self._dispatch(request)
 
     def _dispatch(self, request: dict) -> dict:
         op = request.get("op")
@@ -1163,16 +1171,15 @@ class ServiceDaemon:
                 spec = JobSpec.from_dict(request.get("job") or {})
             except SupervisorError as error:
                 return {"ok": False, "error": str(error)}
+            # refused before submit() journals anything
             timeout = request.get("timeout")
-            if timeout is not None:
-                # refused before submit() journals anything
-                try:
+            try:
+                if timeout is not None:
                     timeout = _number(timeout, "timeout")
-                except SupervisorError as error:
-                    return {"ok": False, "error": f"bad request: {error}"}
-            return self.submit(
-                spec, wait=bool(request.get("wait", True)), timeout=timeout,
-            )
+                wait = _flag(request.get("wait", True), "wait")
+            except SupervisorError as error:
+                return {"ok": False, "error": f"bad request: {error}"}
+            return self.submit(spec, wait=wait, timeout=timeout)
         return {"ok": False, "error": f"unknown op {op!r}"}
 
 

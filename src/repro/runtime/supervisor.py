@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import multiprocessing
 import os
 import threading
@@ -89,8 +88,11 @@ from repro.runtime.jobs import (  # noqa: F401 - re-exports
     USAGE_ERROR,
     _SEVERITY,
     _STATUS_EXIT,
+    _flag,
+    _number,
     execute_classified,
     exit_code_for_statuses,
+    import_job_path,
 )
 from repro.runtime.trace import NULL_TRACER, Tracer, current_tracer, tracing
 from repro.runtime.trace import _ambient as _trace_ambient
@@ -144,19 +146,6 @@ def _object(value: Any, name: str) -> None:
     """Refuse a spec field ``name`` that is not a JSON object."""
     if not isinstance(value, Mapping):
         raise SupervisorError(f"{name} must be an object, got {value!r}")
-
-
-def _number(value: Any, name: str, kind: type = float) -> Any:
-    """The spec field ``name`` as a finite ``kind`` (``float`` or
-    ``int``), or :class:`~repro.errors.SupervisorError` naming it."""
-    try:
-        number = kind(value)
-        if math.isfinite(number):
-            return number
-    except (TypeError, ValueError, OverflowError):
-        pass
-    noun = "an integer" if kind is int else "a finite number"
-    raise SupervisorError(f"{name} must be {noun}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -279,7 +268,7 @@ class RetryPolicy:
                 )
             kwargs["retry_on"] = tuple(retry_on)
         if data.get("degrade") is not None:
-            kwargs["degrade"] = bool(data["degrade"])
+            kwargs["degrade"] = _flag(data["degrade"], "retry.degrade")
         return cls(**kwargs)
 
 
@@ -684,6 +673,8 @@ class WorkerPool:
     # -- lifecycle ---------------------------------------------------------
 
     def _fork(self, slot: int) -> None:
+        # a worker inherits the job path instead of importing it per job
+        import_job_path()
         handle = self.slots[slot]
         with self._fork_lock:
             parent_conn, child_conn = self._mp.Pipe(duplex=True)

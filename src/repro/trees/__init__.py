@@ -1,46 +1,19 @@
 """Tree data model: unranked trees, ranked binary trees, and the encoding
 between them (paper, Section 2.1)."""
 
-from repro.trees.alphabet import CONS, NIL, RankedAlphabet, encoded_alphabet
-from repro.trees.encoding import (
-    decode,
-    encode,
-    encode_forest,
-    encoded_address,
-    element_nodes,
-    is_encoding,
-)
-from repro.trees.ranked import (
-    BNodeAddress,
-    BTree,
-    IndexedTree,
-    leaf,
-    node,
-    parse_btree,
-    random_btree,
-)
-from repro.trees.unranked import NodeAddress, UTree, parse_utree, u
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CONS",
-    "NIL",
-    "RankedAlphabet",
-    "encoded_alphabet",
-    "decode",
-    "encode",
-    "encode_forest",
-    "encoded_address",
-    "element_nodes",
-    "is_encoding",
-    "BNodeAddress",
-    "BTree",
-    "IndexedTree",
-    "leaf",
-    "node",
-    "parse_btree",
-    "random_btree",
-    "NodeAddress",
-    "UTree",
-    "parse_utree",
-    "u",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.trees.alphabet": (
+        "CONS", "NIL", "RankedAlphabet", "encoded_alphabet",
+    ),
+    "repro.trees.encoding": (
+        "decode", "encode", "encode_forest", "encoded_address",
+        "element_nodes", "is_encoding",
+    ),
+    "repro.trees.ranked": (
+        "BNodeAddress", "BTree", "IndexedTree", "leaf", "node",
+        "parse_btree", "random_btree",
+    ),
+    "repro.trees.unranked": ("NodeAddress", "UTree", "parse_utree", "u"),
+})

@@ -53,17 +53,12 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional, Union
 
-from repro.automata.alternating import explore_product
+from repro._lazy import lazy_exports
 from repro.automata.bottom_up import BottomUpTA
-from repro.automata.convert import bu_to_td
 from repro.automata.from_dtd import dtd_to_automaton, specialized_to_automaton
 from repro.automata.top_down import TopDownTA
 from repro.errors import ResourceExhausted, TypecheckError
-from repro.pebble.output_automaton import output_language
-from repro.pebble.product import transducer_times_automaton
-from repro.pebble.to_regular import pebble_automaton_to_ta, trim_quotient
 from repro.pebble.transducer import PebbleTransducer
-from repro.pebble.two_way import walking_summary
 from repro.runtime.cache import (
     cache_stats,
     memoized,
@@ -84,6 +79,20 @@ from repro.xmlio.dtd import DTD
 from repro.xmlio.specialized import SpecializedDTD
 
 TypeLike = Union[BottomUpTA, DTD, SpecializedDTD]
+
+#: The exact route's machinery (Propositions 3.8 and 4.6, Theorem 4.7),
+#: by module: each function below imports what it runs, so a check that
+#: a faster route decides loads none of it.  The names stay readable
+#: from this module, as before the deferral.
+EXACT_MACHINERY = {
+    "repro.automata.alternating": ("explore_product",),
+    "repro.automata.convert": ("bu_to_td",),
+    "repro.pebble.output_automaton": ("output_language",),
+    "repro.pebble.product": ("transducer_times_automaton",),
+    "repro.pebble.to_regular": ("pebble_automaton_to_ta", "trim_quotient"),
+    "repro.pebble.two_way": ("walking_summary",),
+}
+_, __getattr__, __dir__ = lazy_exports(__name__, EXACT_MACHINERY)
 
 #: Suffix marking a result produced by the degradation policy (the
 #: exhausted route's name is the prefix: ``exact-exhausted→bounded``,
@@ -229,6 +238,9 @@ def bad_input_language(
 ) -> BottomUpTA:
     """The regular language ``{t | T(t) ⊈ tau2}`` (the complement of the
     inverse type)."""
+    from repro.pebble.product import transducer_times_automaton
+    from repro.pebble.to_regular import pebble_automaton_to_ta
+
     _, not_tau2 = complement_output_type(transducer, output_type)
     with current_governor().phase("transducer-product"), \
             current_tracer().span("transducer-product"):
@@ -264,6 +276,8 @@ def complement_output_type(
 
 
 def _top_down_complement(tau2: BottomUpTA) -> TopDownTA:
+    from repro.automata.convert import bu_to_td
+
     complemented = tau2.complemented().trimmed()
     with current_tracer().span("bu-to-td"):
         return bu_to_td(complemented)
@@ -596,6 +610,8 @@ def _outputs_outside(
     ``not_tau2`` accepts.  The output automaton is widened to
     ``not_tau2``'s alphabet first: ``tau2`` may declare elements the
     machine never emits."""
+    from repro.pebble.output_automaton import output_language
+
     outputs = as_automaton(
         output_language(transducer, tree), not_tau2.alphabet
     )
@@ -623,6 +639,11 @@ def _typecheck_exact(
     has no rules for, as when it runs), and ``R`` is regularized whole
     (Theorem 4.7) and intersected with ``tau1``.
     """
+    from repro.automata.alternating import explore_product
+    from repro.pebble.product import transducer_times_automaton
+    from repro.pebble.to_regular import pebble_automaton_to_ta, trim_quotient
+    from repro.pebble.two_way import walking_summary
+
     started = time.perf_counter()
     gov = current_governor()
     tracer = current_tracer()

@@ -32,6 +32,7 @@ from repro.runtime.supervisor import (
     OK,
     TIMEOUT,
     TYPE_ERROR,
+    USAGE_ERROR,
     JobLimits,
     JobSpec,
     RetryPolicy,
@@ -154,6 +155,53 @@ def test_malformed_submits_are_refused_and_journal_nothing(make_daemon):
         or not daemon.queue_path.read_text()
     assert client.ping()["ok"]
     assert client.submit(validate_job("j"))["result"]["status"] == OK
+
+
+def test_a_string_wait_is_refused_and_journals_nothing(make_daemon):
+    daemon = make_daemon(workers=1)
+    client = ServiceClient(daemon.socket_path, timeout=10)
+    response = client.request({"op": "submit", "wait": "false",
+                               "job": validate_job("j").to_dict()})
+    assert response["ok"] is False
+    assert response["error"] == (
+        "bad request: wait must be true or false, got 'false'")
+    assert not daemon.queue_path.exists() \
+        or not daemon.queue_path.read_text()
+
+
+def test_malformed_params_leave_the_breaker_closed(make_daemon):
+    daemon = make_daemon(workers=1)
+    client = ServiceClient(daemon.socket_path, timeout=30)
+    bad = typecheck_job("bad").to_dict()
+    bad["params"]["max_steps"] = "abc"
+    for attempt in range(daemon.config.breaker_threshold):
+        response = client.submit({**bad, "id": f"bad-{attempt}"})
+        assert response["result"]["status"] == USAGE_ERROR, response
+        assert "max_steps" in response["result"]["detail"]["error"]
+    assert daemon._breaker.snapshot()["open"] == []
+    good = client.submit(typecheck_job("good"))
+    assert good["result"]["status"] == OK, good
+    assert "fast_failed" not in good
+
+
+def test_an_unexpected_handler_error_is_answered(make_daemon, capsys):
+    daemon = make_daemon(workers=1)
+
+    def broken(request):
+        raise RuntimeError("handler bug")
+
+    daemon._dispatch = broken
+    client = ServiceClient(daemon.socket_path, timeout=5)
+    started = time.monotonic()
+    try:
+        response = client.ping()
+    finally:
+        del daemon._dispatch
+    assert time.monotonic() - started < 2.0
+    assert response["ok"] is False
+    assert response["error"] == "internal error: RuntimeError('handler bug')"
+    assert "RuntimeError: handler bug" in capsys.readouterr().err
+    assert client.ping()["ok"]
 
 
 def test_client_raises_service_error_when_no_daemon(tmp_path):

@@ -424,6 +424,57 @@ def test_a_malformed_spec_field_is_a_usage_error(tmp_path, fields,
     assert not results.exists() or not results.read_text()
 
 
+#: Malformed typecheck parameters: each used to crash its job (exit 4),
+#: a status the daemon's circuit breaker counts against the input.
+MALFORMED_PARAMS = [
+    ("max_inputs", "abc", "max_inputs must be an integer"),
+    ("max_depth", "x", "max_depth must be an integer"),
+    ("max_steps", "abc", "max_steps must be an integer"),
+    ("max_states", [1], "max_states must be an integer"),
+    ("timeout", "abc", "timeout must be a finite number"),
+    ("fallback", "false", "fallback must be true or false"),
+]
+
+
+@pytest.mark.parametrize("name,value,message", MALFORMED_PARAMS)
+def test_a_malformed_typecheck_param_is_a_usage_error(tmp_path, name, value,
+                                                      message):
+    from repro.cli import main
+    from repro.runtime.jobs import execute_classified
+
+    params = {"stylesheet_text": IDENTITY_SHEET, "input_dtd_text": TINY_DTD,
+              "output_dtd_text": TINY_DTD, name: value}
+    outcome = execute_classified({"kind": "typecheck", "params": params})
+    assert outcome["status"] == USAGE_ERROR, outcome
+    assert message in outcome["error"]
+    manifest = tmp_path / "jobs.jsonl"
+    manifest.write_text(json.dumps(
+        {"id": "j1", "kind": "typecheck", "params": params}) + "\n")
+    results = tmp_path / "results.jsonl"
+    assert main(["batch", str(manifest),
+                 "--results", str(results)]) == EXIT_USAGE
+    (record,) = [json.loads(line) for line in results.read_text().splitlines()]
+    assert record["status"] == USAGE_ERROR
+
+
+def test_a_malformed_run_budget_is_a_usage_error():
+    from repro.runtime.jobs import execute_classified
+
+    for name, value in (("timeout", "abc"), ("max_steps", "x")):
+        outcome = execute_classified({"kind": "run", "params": {
+            "stylesheet_text": IDENTITY_SHEET,
+            "document_text": "<doc><item/></doc>", name: value,
+        }})
+        assert outcome["status"] == USAGE_ERROR, outcome
+        assert outcome["error"].startswith(name)
+
+
+def test_degrade_accepts_only_a_json_boolean():
+    assert RetryPolicy.from_dict({"degrade": False}).degrade is False
+    with pytest.raises(SupervisorError, match="retry.degrade must be true"):
+        RetryPolicy.from_dict({"degrade": "false"})
+
+
 def test_duplicate_job_ids_rejected():
     specs = [validate_spec("dup"), validate_spec("dup")]
     with pytest.raises(SupervisorError, match="duplicate job id"):
