@@ -9,8 +9,8 @@ tens of milliseconds over the bare supervised call, and (2) a freshly
 restarted daemon — new process, new forked workers, nothing warm in
 memory — answers a repeated E10 typecheck suite faster than the cold
 daemon did, with the difference attributed to persistent-tier cache
-hits (``hydrate_limit=0`` keeps the warmth on disk so the hits are
-visibly disk-tier, exactly as the kill -9 acceptance test demands).
+hits (a fresh worker reads its warmth from disk on demand, so the hits
+are visibly disk-tier, exactly as the kill -9 acceptance test demands).
 """
 
 import time
@@ -53,9 +53,7 @@ def _run_generation(directory, generation: str) -> tuple[float, list]:
     Returns the submission wall time (daemon startup excluded — the
     claim is about serving, not forking) and each job's cache delta.
     """
-    daemon = ServiceDaemon(ServiceConfig(
-        directory=str(directory), workers=1, hydrate_limit=0,
-    ))
+    daemon = ServiceDaemon(ServiceConfig(directory=str(directory), workers=1))
     daemon.start()
     try:
         client = ServiceClient(daemon.socket_path)

@@ -372,8 +372,8 @@ def run_service_baseline() -> dict:
 
     Two full daemon lifetimes over one state directory: the first
     populates the persistent cache, the second — a fresh process with
-    fresh workers and ``hydrate_limit=0`` — must beat it by serving
-    from the disk tier.  The committed numbers let a revision diff
+    fresh workers, nothing preloaded — must beat it by serving from the
+    disk tier.  The committed numbers let a revision diff
     show when persistent warmth regresses.
     """
     import tempfile
@@ -396,7 +396,7 @@ def run_service_baseline() -> dict:
 
     def generation(directory, gen: str) -> tuple[float, list]:
         daemon = ServiceDaemon(ServiceConfig(
-            directory=str(directory), workers=1, hydrate_limit=0,
+            directory=str(directory), workers=1,
         ))
         daemon.start()
         try:

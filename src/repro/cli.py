@@ -20,7 +20,6 @@ Usage::
     python -m repro serve     --dir state/ [--socket PATH] [--workers N]
                               [--recycle-jobs N] [--recycle-rss-mb M]
                               [--wall-limit S] [--rss-limit-mb M]
-                              [--hydrate N] [--no-compact]
                               [--faults plan.json] [--max-backlog N]
                               [--no-brownout] [--latency-budget S]
                               [--client-timeout S]
@@ -50,7 +49,8 @@ left off.
 
 ``serve`` runs the long-lived typecheck daemon (see docs/service.md and
 :mod:`repro.runtime.service`): a pre-forked worker pool sharing one
-crash-safe on-disk memo cache under ``--dir``, listening on a unix
+crash-safe on-disk memo cache under ``--dir`` (compacted at every start,
+read by each worker entry by entry on a memo miss), listening on a unix
 socket, with admission control (``--max-backlog``) and a brownout load
 controller that degrades exact→bounded→shed under pressure.  ``submit``
 sends manifest jobs to a running daemon (or, with ``--ping`` /
@@ -335,8 +335,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 else None
             ),
         ),
-        hydrate_limit=args.hydrate,
-        compact_on_start=args.compact,
         fault_plan=fault_plan,
         max_backlog=args.max_backlog,
         brownout=args.brownout,
@@ -693,14 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--rss-limit-mb", type=_nonnegative_float, default=None, metavar="MB",
         help="default hard per-job resident-set limit (SIGKILL on breach)",
-    )
-    serve.add_argument(
-        "--hydrate", type=_nonnegative_int, default=512, metavar="N",
-        help="cache entries each fresh worker preloads from disk",
-    )
-    serve.add_argument(
-        "--compact", action=argparse.BooleanOptionalAction, default=True,
-        help="compact the disk cache at startup (--no-compact to skip)",
     )
     serve.add_argument(
         "--faults", default=None, metavar="PLAN.JSON",

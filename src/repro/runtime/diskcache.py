@@ -16,7 +16,8 @@ Design, driven by the failure modes it must survive:
   concurrent workers never interleave bytes and need no write locks.
   Readers see other writers' records via cheap incremental re-scans
   (:meth:`DiskCache.refresh` — a ``stat`` per segment, reading only the
-  new suffix).
+  new suffix).  A record commits when its writer calls :meth:`flush`
+  or :meth:`close`; a pool worker flushes after every job.
 * **Per-record checksums.**  Every record frames its key and pickled
   value behind a blake2b digest.  A record that does not checksum is
   *not there* — never returned, never trusted.
@@ -72,8 +73,7 @@ import time
 from pathlib import Path
 from typing import Any, Iterator, Optional
 
-from repro.errors import FaultInjected, ServiceError
-from repro.runtime.cache import MemoCache
+from repro.errors import FaultInjected
 from repro.runtime.faults import active_plan, fault_point
 
 try:  # pragma: no cover - exercised implicitly on every POSIX platform
@@ -95,13 +95,17 @@ _HEADER = struct.Struct("<II16s")
 
 SEGMENT_SUFFIX = ".seg"
 
-#: Default rollover point for a writer's segment file.
-DEFAULT_MAX_SEGMENT_BYTES = 64 * 1024 * 1024
+#: Rollover point for a writer's segment file.
+MAX_SEGMENT_BYTES = 64 * 1024 * 1024
 
 #: Values whose pickled form exceeds this are not persisted (the memory
 #: tier still holds them); keeps one giant automaton from dominating
-#: every future hydration.
-DEFAULT_MAX_VALUE_BYTES = 16 * 1024 * 1024
+#: the segments every reader scans.
+MAX_VALUE_BYTES = 16 * 1024 * 1024
+
+#: Least seconds between two scans for other writers' new records that
+#: a persistent-tier miss triggers (:meth:`DiskCache.refresh`).
+REFRESH_SECONDS = 1.0
 
 
 def _checksum(key_bytes: bytes, value_bytes: bytes) -> bytes:
@@ -132,35 +136,16 @@ class DiskCache:
     strings of :func:`repro.runtime.cache.memo_key`; values are pickled
     (values that fail to pickle are skipped, counted, and simply not
     persisted).  Thread-safe; multi-process safe by construction (one
-    append-only segment per writer, checksums on every record).
-
-    ``sync`` picks the commit policy: ``"always"`` fsyncs after every
-    :meth:`put` (slowest, smallest loss window), ``"flush"`` (default)
-    fsyncs only on :meth:`flush` — the service workers call it after
-    every finished job, making the job the commit unit.
+    append-only segment per writer, checksums on every record).  A
+    :meth:`put` is buffered: it commits at :meth:`flush` or
+    :meth:`close`, and the pool workers flush after every finished job,
+    making the job the commit unit.
     """
 
-    #: Sentinel distinct from every value (including ``None``).
-    _MISS = MemoCache._MISS
-
-    def __init__(
-        self,
-        directory: str | os.PathLike,
-        *,
-        max_segment_bytes: int = DEFAULT_MAX_SEGMENT_BYTES,
-        max_value_bytes: int = DEFAULT_MAX_VALUE_BYTES,
-        sync: str = "flush",
-        refresh_interval: float = 1.0,
-    ) -> None:
-        if sync not in ("always", "flush"):
-            raise ServiceError(f"unknown sync policy {sync!r}")
+    def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = Path(directory)
         self.segments_dir = self.directory / "segments"
         self.segments_dir.mkdir(parents=True, exist_ok=True)
-        self.max_segment_bytes = max_segment_bytes
-        self.max_value_bytes = max_value_bytes
-        self.sync = sync
-        self.refresh_interval = refresh_interval
         self._lock = threading.RLock()
         self._index: dict[bytes, _IndexEntry] = {}
         #: per-segment scan frontier: bytes of each file already parsed
@@ -237,12 +222,12 @@ class DiskCache:
 
         Cheap when nothing changed (one ``stat`` per segment), so the
         read path can afford to call it on every persistent-tier miss,
-        rate-limited by ``refresh_interval`` unless ``force``.  Returns
+        at most once per :data:`REFRESH_SECONDS` unless ``force``.  Returns
         the number of records newly indexed.
         """
         with self._lock:
             now = time.monotonic()
-            if not force and now - self._last_refresh < self.refresh_interval:
+            if not force and now - self._last_refresh < REFRESH_SECONDS:
                 return 0
             self._last_refresh = now
             before = len(self._index)
@@ -377,7 +362,7 @@ class DiskCache:
         if self._writer is not None:
             if (
                 self._writer_path is not None
-                and self._writer.tell() < self.max_segment_bytes
+                and self._writer.tell() < MAX_SEGMENT_BYTES
             ):
                 return self._writer
             self._close_writer()
@@ -401,8 +386,8 @@ class DiskCache:
     def put(self, key: str, value: Any) -> bool:
         """Append ``key -> value`` to this process's segment.
 
-        Returns ``True`` when the record was written (committed once
-        flushed/fsynced per the ``sync`` policy).  Unpicklable and
+        Returns ``True`` when the record was written (committed at the
+        next :meth:`flush` or :meth:`close`).  Unpicklable and
         oversized values are skipped with a counter — the caller's
         in-memory tier still holds them.
         """
@@ -428,7 +413,7 @@ class DiskCache:
             except Exception:  # noqa: BLE001 - unpicklable closure etc.
                 self.unpicklable_skipped += 1
                 return False
-            if len(value_bytes) > self.max_value_bytes:
+            if len(value_bytes) > MAX_VALUE_BYTES:
                 self.oversize_skipped += 1
                 return False
             digest = _checksum(key_bytes, value_bytes)
@@ -449,9 +434,6 @@ class DiskCache:
                 os.fsync(writer.fileno())
                 fault_point("cache:torn-write", key)
             writer.write(record[half:])
-            if self.sync == "always":
-                writer.flush()
-                os.fsync(writer.fileno())
             end = offset + len(record)
             assert self._writer_path is not None
             self._index[key_bytes] = _IndexEntry(
@@ -543,27 +525,6 @@ class DiskCache:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-    # -- hydration ---------------------------------------------------------
-
-    def hydrate(self, memo: MemoCache, limit: Optional[int] = None) -> int:
-        """Load committed entries into ``memo`` (a worker's warm start).
-
-        Loads at most ``limit`` entries (all by default); the memo
-        table's own LRU budget still applies, so hydration can never
-        blow a worker's memory bound.  Returns the number of entries
-        actually stored.
-        """
-        loaded = 0
-        for key in self.keys():
-            if limit is not None and loaded >= limit:
-                break
-            value = self.get(key, self._MISS)
-            if value is self._MISS:
-                continue
-            memo.store(key, value)
-            loaded += 1
-        return loaded
 
     # -- compaction --------------------------------------------------------
 

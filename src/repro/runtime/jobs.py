@@ -224,11 +224,16 @@ def _flag(value: Any, name: str) -> bool:
 
 def _param(params: Mapping, name: str, kind: type, default: Any = None
            ) -> Any:
-    """The numeric job parameter ``name`` as a finite ``kind``, or
-    ``default`` when it is unset: a malformed one is a usage error
-    naming it, not a crash."""
+    """The numeric job parameter ``name`` as a finite, non-negative
+    ``kind``, or ``default`` when it is unset: a malformed or negative
+    one is a usage error naming it, not a crash."""
     value = params.get(name)
-    return default if value is None else _number(value, name, kind)
+    if value is None:
+        return default
+    number = _number(value, name, kind)
+    if number < 0:
+        raise SupervisorError(f"{name} must not be negative, got {value!r}")
+    return number
 
 
 def import_job_path() -> None:

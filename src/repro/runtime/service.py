@@ -7,15 +7,16 @@ shared persistent tier under it:
 
 * **Pre-forked, reusable pool.**  ``ServiceDaemon`` opens a
   :class:`~repro.runtime.supervisor.WorkerPool` of ``workers``
-  long-lived worker processes up front.  Each worker hydrates its
-  in-process :class:`~repro.runtime.cache.MemoCache` from the shared
-  :class:`~repro.runtime.diskcache.DiskCache` and then serves many jobs,
-  so the second job with the same DTDs hits a warm table.  Workers are
+  long-lived worker processes up front.  Each worker serves many jobs,
+  so the second job with the same DTDs hits a warm in-process
+  :class:`~repro.runtime.cache.MemoCache`; a miss there falls through
+  to the shared :class:`~repro.runtime.diskcache.DiskCache`, which
+  reads and unpickles only the entry that job asks for.  Workers are
   **recycled** — retired gracefully and replaced by a fresh fork — after
   ``recycle_jobs`` jobs or when their resident set crosses
   ``recycle_rss_bytes``: leaks are bounded by construction, and the
-  replacement re-hydrates from disk, so recycling sheds memory without
-  shedding warmth.
+  replacement reads its warmth from disk on demand, so recycling sheds
+  memory without shedding warmth.
 * **Supervision carries over.**  Each slot thread runs its jobs through
   :meth:`Supervisor.run_on`, the loop behind ``repro batch``:
   wall-clock and RSS polled against hard limits, SIGKILL on breach, the
@@ -24,8 +25,8 @@ shared persistent tier under it:
   worker span trees grafted into the daemon's tracer.  A worker that
   dies (or is killed) is respawned with exponential backoff, and a
   **circuit breaker** per affinity key fast-fails submissions whose
-  input keeps killing workers instead of letting one bad DTD grind the
-  pool down.
+  input keeps killing workers, for :data:`BREAKER_COOLDOWN` seconds,
+  instead of letting one bad DTD grind the pool down.
 * **Cache-affinity routing.**  Jobs are routed to pool slots by
   :func:`~repro.runtime.jobs.affinity_key` — jobs sharing DTDs land on
   the worker whose memo table already holds their automata.
@@ -96,7 +97,7 @@ from repro.errors import EXIT_OK, ServiceError, SupervisorError
 from repro.runtime.diskcache import DiskCache
 from repro.runtime.faults import FaultPlan, fault_point, install_plan
 from repro.runtime.governor import clamp_timeout
-from repro.runtime.jobs import _flag, _number, affinity_key
+from repro.runtime.jobs import _flag, _number, _param, affinity_key
 from repro.runtime.supervisor import (
     CRASHED,
     MISCOMPILED,
@@ -140,6 +141,10 @@ _BREAKER_FAILURES = (CRASHED, TIMEOUT, OOM)
 #: submissions outright (queued work still drains).
 PRESSURE_LEVELS = ("ready", "tightened", "bounded-only", "shed-new")
 
+#: Seconds an open circuit fast-fails its key before one trial is let
+#: through (half-open).
+BREAKER_COOLDOWN = 30.0
+
 
 # -- configuration -----------------------------------------------------------
 
@@ -160,12 +165,9 @@ class ServiceConfig:
     recycle_jobs: int = 64
     recycle_rss_bytes: Optional[int] = 512 * 1024 * 1024
     limits: JobLimits = field(default_factory=JobLimits)
-    hydrate_limit: Optional[int] = 512
     breaker_threshold: int = 3
-    breaker_cooldown: float = 30.0
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
-    compact_on_start: bool = True
     fault_plan: Optional[FaultPlan] = None
     #: per-slot queue cap: a slot at this depth sheds instead of queueing
     #: (0 = shed everything, useful in tests; ``None`` = unbounded, the
@@ -511,7 +513,6 @@ class ServiceDaemon:
             config.workers,
             fault_plan=config.fault_plan,
             cache_dir=str(self.cache_dir),
-            hydrate_limit=config.hydrate_limit,
             recycle_jobs=config.recycle_jobs,
             recycle_rss_bytes=config.recycle_rss_bytes,
             backoff_base=config.backoff_base,
@@ -527,9 +528,8 @@ class ServiceDaemon:
         self._waiters_lock = threading.Lock()
         self._queue_journal: Optional[_Journal] = None
         self._results_journal: Optional[_Journal] = None
-        self._breaker = _CircuitBreaker(
-            config.breaker_threshold, config.breaker_cooldown
-        )
+        self._breaker = _CircuitBreaker(config.breaker_threshold,
+                                        BREAKER_COOLDOWN)
         self._costs = _CostEstimator(Path(config.directory) / "costs.json")
         per_slot = config.max_backlog if config.max_backlog is not None else 64
         self._controller: Optional[_LoadController] = (
@@ -576,12 +576,11 @@ class ServiceDaemon:
         self.directory.mkdir(parents=True, exist_ok=True)
         self._acquire_lock()
         self._tracer = current_tracer()
-        self.cache = DiskCache(self.cache_dir, sync="flush")
+        self.cache = DiskCache(self.cache_dir)
         self.recovery = self.cache.recover()
-        if self.config.compact_on_start:
-            # before any worker exists, so compaction never races a
-            # live writer; a busy/faulted lock skips harmlessly
-            self.cache.compact()
+        # before any worker exists, so compaction never races a live
+        # writer; a busy/faulted lock skips harmlessly
+        self.cache.compact()
         pending = self._replay_queue()
         self._queue_journal = _Journal(self.queue_path)
         self._results_journal = _Journal(self.results_path)
@@ -902,8 +901,12 @@ class ServiceDaemon:
             if limits.wall_seconds is None or limits.wall_seconds > budget:
                 limits = replace(limits, wall_seconds=budget)
             if spec.kind in ("typecheck", "run"):
-                params["timeout"] = clamp_timeout(params.get("timeout"),
-                                                  budget)
+                try:
+                    timeout = _param(params, "timeout", float)
+                except SupervisorError:
+                    pass  # malformed: the worker answers usage-error
+                else:
+                    params["timeout"] = clamp_timeout(timeout, budget)
         if (pressure >= 2 and spec.kind == "typecheck"
                 and params.get("method") != "bounded"):
             # bounded-only: the cheap falsifier tier (paper §5) for

@@ -90,6 +90,7 @@ from repro.runtime.jobs import (  # noqa: F401 - re-exports
     _STATUS_EXIT,
     _flag,
     _number,
+    _param,
     execute_classified,
     exit_code_for_statuses,
     import_job_path,
@@ -438,8 +439,8 @@ def _pool_worker(config: Mapping, conn) -> None:
     reset before the first job: a job can never observe the driver's
     budget or warm entries.  With a ``cache_dir`` the worker opens its
     *own* :class:`~repro.runtime.diskcache.DiskCache` on that directory
-    (never the parent's file objects) and hydrates its memo table from
-    it, so a fresh worker starts warm.  ``conn`` doubles as the liveness
+    (never the parent's file objects) and reads it on each memo miss,
+    so a fresh worker starts warm.  ``conn`` doubles as the liveness
     contract: when the driver dies — even ``kill -9`` — the pipe EOFs and
     an idle worker exits instead of lingering as an orphan.  That holds
     only because the worker first closes every driver-side pipe end it
@@ -467,19 +468,16 @@ def _pool_worker(config: Mapping, conn) -> None:
     plan = config.get("faults")
     install_plan(FaultPlan.from_dict(plan) if plan else None)
     disk = None
-    hydrated = 0
     if config.get("cache_dir"):
         from repro.runtime.diskcache import DiskCache
 
-        disk = DiskCache(config["cache_dir"], sync="flush")
+        disk = DiskCache(config["cache_dir"])
         install_persistent(disk)
-        hydrated = disk.hydrate(GLOBAL_CACHE,
-                                limit=config.get("hydrate_limit"))
     address_space = (
         resource.getrlimit(resource.RLIMIT_AS) if resource else None
     )
     try:
-        conn.send({"ready": True, "pid": os.getpid(), "hydrated": hydrated})
+        conn.send({"ready": True, "pid": os.getpid()})
         while True:
             try:
                 payload = conn.recv()
@@ -583,7 +581,6 @@ class _Slot:
     respawn_at: float = 0.0
     respawns: int = 0
     recycles: int = 0
-    hydrated: int = 0
 
 
 class WorkerPool:
@@ -592,7 +589,7 @@ class WorkerPool:
     Every attempt of every job runs here.  :meth:`Supervisor.run_batch`
     opens a pool of ``workers`` slots for the call,
     :meth:`Supervisor.run_job` a one-shot pool, and the service daemon
-    one pool for its whole life (with a disk cache to hydrate from).  A
+    one pool for its whole life (over a shared disk cache).  A
     slot's worker is forked by :meth:`start` or on first use and serves
     jobs one at a time, so the jobs of one slot share its memo table;
     each job's ``stats["cache"]`` is still a delta of its own.  A worker
@@ -613,7 +610,6 @@ class WorkerPool:
         *,
         fault_plan: Optional[FaultPlan] = None,
         cache_dir: Optional[str] = None,
-        hydrate_limit: Optional[int] = None,
         recycle_jobs: Optional[int] = None,
         recycle_rss_bytes: Optional[int] = None,
         backoff_base: float = 0.0,
@@ -624,7 +620,6 @@ class WorkerPool:
         self._config = {
             "faults": fault_plan.to_dict() if fault_plan is not None else None,
             "cache_dir": cache_dir,
-            "hydrate_limit": hydrate_limit,
         }
         self.recycle_jobs = recycle_jobs
         self.recycle_rss_bytes = recycle_rss_bytes
@@ -661,7 +656,6 @@ class WorkerPool:
                 "jobs_done": handle.jobs_done,
                 "respawns": handle.respawns,
                 "recycles": handle.recycles,
-                "hydrated": handle.hydrated,
             }
             for slot, handle in enumerate(self.slots)
         ]
@@ -698,7 +692,7 @@ class WorkerPool:
         handle = self.slots[slot]
         try:
             if handle.conn.poll(10.0):
-                handle.hydrated = int(handle.conn.recv().get("hydrated", 0))
+                handle.conn.recv()
         except (EOFError, OSError):  # died during setup; its attempt says so
             pass
 
@@ -1264,23 +1258,30 @@ def _degraded(
     """
     params = dict(spec.params)
     scale = policy.budget_scale**resource_failures
+
+    def scaled(name: str, kind: type, factor: float, default: Any = None
+               ) -> None:
+        # read as the job reads it; a malformed value is left as given,
+        # for the worker to answer usage-error
+        try:
+            value = _param(params, name, kind, default)
+        except SupervisorError:
+            return
+        if value is not None:
+            params[name] = (max(1, int(value * factor)) if kind is int
+                            else value * factor)
+
     if spec.kind == "typecheck":
         if params.get("method") != "bounded":
             params["method"] = "bounded"
-            params["max_inputs"] = max(
-                1, int(params.get("max_inputs", 50) * scale)
-            )
+            scaled("max_inputs", int, scale, 50)
         else:
-            params["max_inputs"] = max(
-                1,
-                int(params.get("max_inputs", 50) * policy.budget_scale),
-            )
+            scaled("max_inputs", int, policy.budget_scale, 50)
     if params.get("timeout") is not None:
-        params["timeout"] = float(params["timeout"]) * policy.budget_scale
+        scaled("timeout", float, policy.budget_scale)
     elif limits.wall_seconds is not None:
         # leave headroom below the hard wall so the governor fires first
         params["timeout"] = limits.wall_seconds * 0.8 * scale
     for knob in ("max_steps", "max_states"):
-        if params.get(knob) is not None:
-            params[knob] = max(1, int(params[knob] * policy.budget_scale))
+        scaled(knob, int, policy.budget_scale)
     return replace(spec, params=params)

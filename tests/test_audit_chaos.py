@@ -49,7 +49,7 @@ def typecheck_job(job_id: str) -> JobSpec:
 def start_serve(state_dir, *extra: str) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--dir", str(state_dir),
-         "--workers", "1", "--hydrate", "0", *extra],
+         "--workers", "1", *extra],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         env={**os.environ,
              "PYTHONPATH": os.pathsep.join(

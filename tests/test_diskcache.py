@@ -30,9 +30,9 @@ import textwrap
 
 import pytest
 
+from repro.runtime import diskcache
 from repro.runtime.cache import (
     GLOBAL_CACHE,
-    MemoCache,
     cache_stats,
     clear_cache,
     install_persistent,
@@ -69,7 +69,7 @@ def _env():
 
 
 def test_roundtrip_and_reopen(tmp_path):
-    cache = DiskCache(tmp_path / "cache", sync="always")
+    cache = DiskCache(tmp_path / "cache")
     assert cache.put("k1", {"a": [1, 2, 3]})
     assert cache.put("k2", "hello")
     assert cache.get("k1") == {"a": [1, 2, 3]}
@@ -85,15 +85,15 @@ def test_roundtrip_and_reopen(tmp_path):
 
 
 def test_read_own_buffered_write(tmp_path):
-    # sync="flush" buffers in the writer; a same-process get() must
-    # still see the record (visibility without durability)
-    cache = DiskCache(tmp_path / "cache", sync="flush")
+    # a put is buffered in the writer until flush(); a same-process get()
+    # must still see the record (visibility without durability)
+    cache = DiskCache(tmp_path / "cache")
     cache.put("k", "v")
     assert cache.get("k") == "v"
 
 
 def test_duplicate_put_is_skipped(tmp_path):
-    cache = DiskCache(tmp_path / "cache", sync="always")
+    cache = DiskCache(tmp_path / "cache")
     assert cache.put("k", "v")
     stores_before = cache.stores
     assert cache.put("k", "other")  # deterministic values: dup adds nothing
@@ -101,8 +101,10 @@ def test_duplicate_put_is_skipped(tmp_path):
     assert cache.get("k") == "v"
 
 
-def test_unpicklable_and_oversize_values_are_skipped(tmp_path):
-    cache = DiskCache(tmp_path / "cache", max_value_bytes=64)
+def test_unpicklable_and_oversize_values_are_skipped(tmp_path,
+                                                     monkeypatch):
+    monkeypatch.setattr(diskcache, "MAX_VALUE_BYTES", 64)
+    cache = DiskCache(tmp_path / "cache")
     assert not cache.put("fn", lambda x: x)  # noqa: E731
     assert cache.unpicklable_skipped == 1
     assert not cache.put("big", "x" * 1024)
@@ -119,8 +121,9 @@ def _segment_file(directory):
 
 
 def test_corrupted_record_is_a_miss_not_garbage(tmp_path):
-    cache = DiskCache(tmp_path / "cache", sync="always")
+    cache = DiskCache(tmp_path / "cache")
     cache.put("key", "payload-payload-payload")
+    cache.flush()
     path = _segment_file(tmp_path / "cache")
     data = bytearray(path.read_bytes())
     data[-3] ^= 0xFF  # flip a byte inside the pickled value
@@ -132,7 +135,7 @@ def test_corrupted_record_is_a_miss_not_garbage(tmp_path):
 
 
 def test_torn_tail_hides_only_the_torn_record(tmp_path):
-    cache = DiskCache(tmp_path / "cache", sync="always")
+    cache = DiskCache(tmp_path / "cache")
     cache.put("first", "one")
     cache.put("second", "two")
     cache.close()
@@ -153,7 +156,7 @@ def test_torn_tail_hides_only_the_torn_record(tmp_path):
 
 
 def test_scribbled_frame_stops_the_scan_at_a_good_boundary(tmp_path):
-    cache = DiskCache(tmp_path / "cache", sync="always")
+    cache = DiskCache(tmp_path / "cache")
     cache.put("good", "value")
     cache.close()
     path = _segment_file(tmp_path / "cache")
@@ -176,8 +179,9 @@ def test_torn_write_fault_leaves_recoverable_directory(tmp_path):
         from repro.runtime.diskcache import DiskCache
         from repro.runtime.faults import FaultPlan, FaultSpec, install_plan
 
-        cache = DiskCache(sys.argv[1], sync="always")
+        cache = DiskCache(sys.argv[1])
         cache.put("committed", "survives the kill")
+        cache.flush()
         install_plan(FaultPlan(points={
             "cache:torn-write": FaultSpec(action="crash"),
         }))
@@ -210,10 +214,10 @@ def test_torn_write_fault_leaves_recoverable_directory(tmp_path):
 
 def test_compaction_merges_segments_without_losing_records(tmp_path):
     directory = tmp_path / "cache"
-    first = DiskCache(directory, sync="always")
+    first = DiskCache(directory)
     first.put("a", 1)
     first.close()
-    second = DiskCache(directory, sync="always")
+    second = DiskCache(directory)
     second.put("b", 2)
     second.put("a", 1)  # already indexed: skipped, no duplicate record
     second.close()
@@ -233,7 +237,7 @@ def test_compaction_merges_segments_without_losing_records(tmp_path):
 
 
 def test_stale_lock_fault_skips_compaction_gracefully(tmp_path):
-    cache = DiskCache(tmp_path / "cache", sync="always")
+    cache = DiskCache(tmp_path / "cache")
     cache.put("a", 1)
     plan = FaultPlan(points={
         "cache:stale-lock": FaultSpec(action="exception"),
@@ -247,7 +251,7 @@ def test_stale_lock_fault_skips_compaction_gracefully(tmp_path):
 
 def test_orphan_compaction_tmp_is_discarded_on_open(tmp_path):
     directory = tmp_path / "cache"
-    cache = DiskCache(directory, sync="always")
+    cache = DiskCache(directory)
     cache.put("a", 1)
     cache.close()
     orphan = directory / "segments" / "compact-12345.tmp"
@@ -340,7 +344,7 @@ def test_stable_repr_orders_sets_and_dicts():
 
 
 def test_memoized_writes_through_and_hits_after_cache_clear(tmp_path):
-    disk = DiskCache(tmp_path / "cache", sync="always")
+    disk = DiskCache(tmp_path / "cache")
     calls = []
 
     def compute():
@@ -365,23 +369,8 @@ def test_memoized_writes_through_and_hits_after_cache_clear(tmp_path):
         assert GLOBAL_CACHE.lookup(key) == {"answer": 42}
 
 
-def test_hydrate_preloads_a_memo_cache(tmp_path):
-    disk = DiskCache(tmp_path / "cache", sync="always")
-    for i in range(5):
-        disk.put(f"key-{i}", i)
-    memo = MemoCache()
-    assert disk.hydrate(memo, limit=3) == 3
-    assert disk.hydrate(memo) == 5
-
-    loaded = 0
-    for i in range(5):
-        if memo.lookup(f"key-{i}") is not MemoCache._MISS:
-            loaded += 1
-    assert loaded == 5
-
-
 def test_stats_snapshot_shape(tmp_path):
-    cache = DiskCache(tmp_path / "cache", sync="always")
+    cache = DiskCache(tmp_path / "cache")
     cache.put("k", "v")
     cache.get("k")
     cache.get("missing")
@@ -399,7 +388,7 @@ def test_stats_snapshot_shape(tmp_path):
 
 
 def _tombstone_cache(tmp_path) -> DiskCache:
-    cache = DiskCache(tmp_path / "cache", sync="always")
+    cache = DiskCache(tmp_path / "cache")
     cache.put("keep", "good")
     cache.put("bad", "poisoned")
     return cache
@@ -435,7 +424,7 @@ def test_reput_after_quarantine_supersedes_the_tombstone(tmp_path):
 
 
 def test_quarantine_batch_tombstones_and_journals(tmp_path):
-    cache = DiskCache(tmp_path / "cache", sync="always")
+    cache = DiskCache(tmp_path / "cache")
     for i in range(4):
         cache.put(f"k{i}", i)
     evicted = cache.quarantine(["k1", "k3", "ghost"],
@@ -484,7 +473,7 @@ def test_poison_fault_corrupts_behind_a_valid_checksum(tmp_path):
         rules={("f", "ok", "ok"): {"ok"}},
         accepting={"ok"},
     )
-    cache = DiskCache(tmp_path / "cache", sync="always")
+    cache = DiskCache(tmp_path / "cache")
     plan = FaultPlan(points={
         "cache:poison-entry": FaultSpec(action="exception"),
     })

@@ -538,10 +538,10 @@ def test_sigterm_drains_the_daemon_to_a_clean_exit(tmp_path):
 
 
 def test_recycled_worker_reports_disk_cache_hits(make_daemon):
-    # hydrate_limit=0 keeps warm values on disk only, so the second
+    # a fresh worker starts with an empty memo table, so the second
     # job's lookups fall through to the persistent tier and are counted
-    # there (with hydration they would surface as memory hits instead)
-    daemon = make_daemon(workers=1, recycle_jobs=1, hydrate_limit=0)
+    # there
+    daemon = make_daemon(workers=1, recycle_jobs=1)
     client = ServiceClient(daemon.socket_path)
 
     cold = client.submit(typecheck_job("tc-cold"), timeout=120.0)
@@ -557,21 +557,3 @@ def test_recycled_worker_reports_disk_cache_hits(make_daemon):
 
     stats = client.stats()["stats"]
     assert stats["cache"]["entries"] > 0
-
-
-def test_hydration_preloads_a_fresh_worker(make_daemon, tmp_path):
-    daemon = make_daemon(workers=1)
-    client = ServiceClient(daemon.socket_path)
-    assert client.submit(typecheck_job("hy-1"), timeout=120.0)[
-        "result"]["status"] == OK
-    daemon.drain()
-
-    second = ServiceDaemon(ServiceConfig(
-        directory=str(tmp_path / "state"), workers=1
-    ))
-    second.start()
-    try:
-        stats = second.stats()
-        assert stats["workers"][0]["hydrated"] > 0
-    finally:
-        second.drain()

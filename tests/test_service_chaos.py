@@ -4,8 +4,7 @@ The acceptance bar from ISSUE 6: a SIGKILL at any injected fault point
 loses no completed results and no committed cache segments — a restarted
 daemon recovers from the on-disk state alone, replays the queue
 exactly-once, and a repeated typecheck job reports a *persistent-tier*
-cache hit (``--hydrate 0`` keeps warm values on disk so the hit is
-attributed to the disk tier rather than hydrated memory).
+cache hit: a fresh worker reads its warmth from disk on demand.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ def typecheck_job(job_id: str) -> JobSpec:
 def start_serve(state_dir, *extra: str) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--dir", str(state_dir),
-         "--workers", "1", "--hydrate", "0", *extra],
+         "--workers", "1", *extra],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         env={**os.environ,
              "PYTHONPATH": os.pathsep.join(

@@ -41,6 +41,7 @@ from repro.runtime.service import (
 from repro.runtime.supervisor import (
     OK,
     SHED,
+    USAGE_ERROR,
     JobSpec,
     RetryPolicy,
     Supervisor,
@@ -48,7 +49,12 @@ from repro.runtime.supervisor import (
 )
 from repro.runtime.trace import Histogram
 
-from test_service import TINY_DTD, make_daemon, validate_job  # noqa: F401
+from test_service import (  # noqa: F401
+    TINY_DTD,
+    make_daemon,
+    typecheck_job,
+    validate_job,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 
@@ -287,6 +293,29 @@ def test_brownout_reaches_shed_new_and_health_recovers(make_daemon):
     assert daemon.health()["health"] == "ready"
     assert daemon.submit(validate_job("served-again"))[
         "result"]["status"] == OK
+
+
+def test_a_malformed_timeout_under_brownout_is_a_usage_error(make_daemon):
+    # at pressure >= 1 the slot thread clamps each job's timeout to the
+    # latency budget; a malformed one must reach the worker (which
+    # answers usage-error) instead of ending the slot thread
+    daemon = make_daemon(workers=1, brownout=False)
+    daemon._controller = _LoadController(
+        capacity=10, latency_budget=2.0, dwell=100,
+    )
+    assert daemon._controller.evaluate(3) == 1  # tightened, held
+    bad = typecheck_job("bad-timeout")
+    bad = JobSpec(id=bad.id, kind=bad.kind,
+                  params={**bad.params, "timeout": "abc"})
+    response = daemon.submit(bad, timeout=30.0)
+    assert response["ok"], response
+    assert response["result"]["status"] == USAGE_ERROR
+    assert "timeout must be a finite number" in (
+        response["result"]["detail"]["error"])
+    # the slot thread lives on: the next job on the one slot is answered
+    after = daemon.submit(validate_job("after-bad-timeout"), timeout=30.0)
+    assert after["ok"], after
+    assert after["result"]["status"] == OK
 
 
 def test_health_verb_over_the_socket(make_daemon):

@@ -338,6 +338,65 @@ def test_degradation_scales_explicit_budgets():
     assert degraded.params["max_steps"] == 500
 
 
+def test_degradation_reads_budgets_as_the_job_does():
+    # a numeric string the job accepts is scaled like a number
+    spec = JobSpec(
+        id="d3", kind="typecheck",
+        params={"stylesheet_text": "s", "input_dtd_text": "i",
+                "output_dtd_text": "o", "method": "exact",
+                "max_inputs": "20", "max_steps": "1000"},
+    )
+    degraded = _degraded(spec, JobLimits(), RetryPolicy(budget_scale=0.5), 1)
+    assert degraded.params["max_inputs"] == 10
+    assert degraded.params["max_steps"] == 500
+    # a malformed one is left as given, for the worker to refuse
+    spec = JobSpec(
+        id="d4", kind="run",
+        params={"stylesheet_text": "s", "document_text": "d",
+                "timeout": "abc", "max_states": [1]},
+    )
+    degraded = _degraded(
+        spec, JobLimits(wall_seconds=10.0), RetryPolicy(budget_scale=0.5), 1
+    )
+    assert degraded.params["timeout"] == "abc"
+    assert degraded.params["max_states"] == [1]
+
+
+def test_a_retried_job_with_a_numeric_string_budget_ends_in_a_result(
+        tmp_path):
+    from repro.cli import main
+
+    # the first attempt wedges past the wall limit (a resource failure),
+    # the degraded retry runs unwedged and reaches a verdict
+    plan = FaultPlan(seed=3, points={
+        "pool:worker-wedge": FaultSpec(action="delay", seconds=60.0,
+                                       rate=0.5),
+    })
+    job_id = next(
+        f"wedge-{i}" for i in range(100)
+        if plan.decide("pool:worker-wedge", f"wedge-{i}#1")
+        and not plan.decide("pool:worker-wedge", f"wedge-{i}#2")
+    )
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan.to_dict()))
+    manifest = tmp_path / "jobs.jsonl"
+    manifest.write_text(json.dumps({
+        "id": job_id, "kind": "typecheck",
+        "params": {"stylesheet_text": IDENTITY_SHEET,
+                   "input_dtd_text": TINY_DTD, "output_dtd_text": TINY_DTD,
+                   "max_inputs": "20"},
+    }) + "\n")
+    results = tmp_path / "results.jsonl"
+    assert main(["batch", str(manifest), "--results", str(results),
+                 "--max-attempts", "2", "--wall-limit", "2",
+                 "--faults", str(plan_path)]) == EXIT_OK
+    (record,) = [json.loads(line) for line in results.read_text().splitlines()]
+    assert [entry["status"] for entry in record["history"]] == [TIMEOUT, OK]
+    assert record["status"] == OK
+    assert record["detail"]["method"] == "bounded"
+    assert record["detail"]["stats"]["inputs_requested"] == 10
+
+
 def test_degraded_retry_of_resource_killed_typecheck(pathological_typecheck):
     """A wall-killed exact job retries as bounded and reaches a verdict."""
     supervisor = Supervisor(
@@ -433,6 +492,10 @@ MALFORMED_PARAMS = [
     ("max_states", [1], "max_states must be an integer"),
     ("timeout", "abc", "timeout must be a finite number"),
     ("fallback", "false", "fallback must be true or false"),
+    ("max_steps", -1, "max_steps must not be negative"),
+    ("max_states", -5, "max_states must not be negative"),
+    ("max_inputs", -3, "max_inputs must not be negative"),
+    ("timeout", -1, "timeout must not be negative"),
 ]
 
 
@@ -460,7 +523,8 @@ def test_a_malformed_typecheck_param_is_a_usage_error(tmp_path, name, value,
 def test_a_malformed_run_budget_is_a_usage_error():
     from repro.runtime.jobs import execute_classified
 
-    for name, value in (("timeout", "abc"), ("max_steps", "x")):
+    for name, value in (("timeout", "abc"), ("max_steps", "x"),
+                        ("timeout", -1), ("max_steps", -1)):
         outcome = execute_classified({"kind": "run", "params": {
             "stylesheet_text": IDENTITY_SHEET,
             "document_text": "<doc><item/></doc>", name: value,
