@@ -11,10 +11,11 @@ states.  This module provides the shared machinery for the bitset core:
   union is ``|``, intersection ``&``, subset test ``a & b == a``, and
   membership ``(mask >> i) & 1``;
 * popcount/iteration helpers (:func:`bit_indices`, :func:`mask_of`,
-  :func:`popcount`) built on ``int.bit_count`` / ``int.bit_length``;
-* the ``REPRO_REFERENCE_ALGEBRA`` escape hatch that routes the public
-  algebra back to the original frozenset implementations kept in
-  ``repro.automata.reference`` as an executable oracle.
+  :func:`popcount`) built on ``int.bit_count`` / ``int.bit_length``.
+
+The original frozenset implementations live on in the test suite as an
+executable oracle (``tests/reference.py``): the differential suites run
+every operation both ways and compare the results.
 
 The intern order is *deterministic* (states sorted by their process-stable
 textual form), so anything rendered "in intern table order" — e.g. the
@@ -23,14 +24,12 @@ identically across processes and hash seeds.
 
 Fingerprints (``repro.runtime.cache``) are computed from the automaton's
 *structure* under a canonical state numbering, never from masks or intern
-indices, so memo keys are representation-independent: a bitset-backed and
-a reference-backed automaton with the same rules fingerprint identically.
+indices, so memo keys are representation-independent: a bitset-built and
+an oracle-built automaton with the same rules fingerprint identically.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
 
 from repro.runtime.cache import stable_repr
@@ -39,42 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.automata.bottom_up import BottomUpTA
 
 State = Hashable
-
-# -- reference-oracle escape hatch ---------------------------------------------
-
-#: Environment variable that, when set to a non-empty value other than "0",
-#: routes the automata/regex algebra through the frozenset reference oracle.
-REFERENCE_ENV = "REPRO_REFERENCE_ALGEBRA"
-
-_reference_enabled = os.environ.get(REFERENCE_ENV, "") not in ("", "0")
-
-
-def reference_algebra_enabled() -> bool:
-    """True when operations should run on the frozenset reference oracle."""
-    return _reference_enabled
-
-
-def set_reference_algebra(enabled: bool) -> bool:
-    """Switch the oracle on/off programmatically; returns the old value."""
-    global _reference_enabled
-    previous = _reference_enabled
-    _reference_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def reference_algebra(enabled: bool = True) -> Iterator[None]:
-    """Run a block with the reference oracle switched on (or off).
-
-    Oracle runs bypass the memo tables entirely, so a differential test
-    never sees a cached bitset result when it asks for the reference one.
-    """
-    previous = set_reference_algebra(enabled)
-    try:
-        yield
-    finally:
-        set_reference_algebra(previous)
-
 
 # -- bitmask helpers -----------------------------------------------------------
 

@@ -17,7 +17,6 @@ from repro.automata.bitset import (
     SubsetState,
     TAIndex,
     bit_indices,
-    reference_algebra_enabled,
     ta_index,
 )
 from repro.errors import AutomatonError
@@ -28,13 +27,6 @@ from repro.trees.alphabet import RankedAlphabet
 from repro.trees.ranked import BTree, IndexedTree
 
 State = Hashable
-
-
-def _reference():
-    """The frozenset oracle module (imported lazily to avoid a cycle)."""
-    from repro.automata import reference
-
-    return reference
 
 
 @dataclass(frozen=True)
@@ -127,8 +119,6 @@ class BottomUpTA:
 
     def reachable_states(self) -> frozenset[State]:
         """States that label the root of at least one tree (fixpoint)."""
-        if reference_algebra_enabled():
-            return _reference().ta_reachable_states(self)
         return frozenset(ta_index(self).states_of(self._reachable_mask()))
 
     def _reachable_mask(
@@ -181,8 +171,6 @@ class BottomUpTA:
 
     def is_empty(self) -> bool:
         """True when the language is empty."""
-        if reference_algebra_enabled():
-            return _reference().ta_is_empty(self)
         return not (self._reachable_mask() & ta_index(self).accepting_mask)
 
     def witness(self) -> Optional[BTree]:
@@ -192,8 +180,6 @@ class BottomUpTA:
         gets the smallest tree known to reach it.
         """
         with current_tracer().span("ta.witness"):
-            if reference_algebra_enabled():
-                return _reference().ta_witness(self)
             return self._witness()
 
     def _witness(self) -> Optional[BTree]:
@@ -377,8 +363,6 @@ class BottomUpTA:
         subset states render their members in intern-table order, so the
         printed form is deterministic across processes.
         """
-        if reference_algebra_enabled():
-            return _reference().ta_determinized(self, keep_subsets)
         return memoized(
             "ta.determinized",
             (self,),
@@ -484,8 +468,6 @@ class BottomUpTA:
 
     def complemented(self) -> "BottomUpTA":
         """The automaton for the complement language (over ``alphabet``)."""
-        if reference_algebra_enabled():
-            return _reference().ta_complemented(self)
         return memoized("ta.complemented", (self,), self._complemented)
 
     def _complemented(self) -> "BottomUpTA":
@@ -533,8 +515,6 @@ class BottomUpTA:
         # ``combine`` is an arbitrary callable; its truth table is the
         # part of it the construction depends on, so that is what the
         # memo key carries.
-        if reference_algebra_enabled():
-            return _reference().ta_product(self, other, combine)
         table = tuple(
             combine(a, b) for a in (False, True) for b in (False, True)
         )
@@ -654,8 +634,6 @@ class BottomUpTA:
 
     def union(self, other: "BottomUpTA") -> "BottomUpTA":
         """Language union (via disjoint sum of automata)."""
-        if reference_algebra_enabled():
-            return _reference().ta_union(self, other)
         return memoized("ta.union", (self, other), lambda: self._union(other))
 
     def _union(self, other: "BottomUpTA") -> "BottomUpTA":
@@ -703,8 +681,6 @@ class BottomUpTA:
     def trimmed(self) -> "BottomUpTA":
         """Drop states that are unreachable or useless (cannot reach an
         accepting root context).  Keeps the language."""
-        if reference_algebra_enabled():
-            return _reference().ta_trimmed(self)
         return memoized("ta.trimmed", (self,), self._trimmed)
 
     def _trimmed(self) -> "BottomUpTA":
@@ -754,8 +730,6 @@ class BottomUpTA:
         partition refinement.  The result is the canonical complete
         deterministic automaton (up to renaming) for the language.
         """
-        if reference_algebra_enabled():
-            return _reference().ta_minimized(self)
         return memoized("ta.minimized", (self,), self._minimized)
 
     def _minimized(self) -> "BottomUpTA":

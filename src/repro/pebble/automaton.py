@@ -15,7 +15,6 @@ standard linear-time counter-based least fixpoint.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -73,15 +72,12 @@ class PebbleAutomaton(PebbleMachine):
         Only for callers rewriting an *already validated* automaton in a
         level-preserving way (trim, quotient, the Prop. 4.6 product) —
         validation is linear in the rule table and dominates construction
-        for large products.  ``REPRO_VALIDATE_TRUSTED=1`` re-enables the
-        checks for debugging.
+        for large products.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "alphabet", alphabet)
         self._set_levels(levels, initial)
         object.__setattr__(self, "rules", dict(rules))
-        if os.environ.get("REPRO_VALIDATE_TRUSTED") == "1":
-            self._validate(alphabet)
         return self
 
     def _validate_terminal(self, level: int, action: Action) -> None:

@@ -15,7 +15,9 @@ meaning: the configuration ``(q, root(s))`` has an AND/OR derivation that
 stays inside ``s`` except for exit obligations — it assumes each ``(v,
 parent(root(s)))`` with ``v ∈ E`` is accessible, and those exits used
 up-``d`` moves (so ``root(s)`` must be a ``d``-side child; ``d = none``
-iff ``E`` is empty).  Only subsumption-minimal pairs are kept.
+iff ``E`` is empty).  Only subsumption-minimal pairs are kept, and
+only pairs whose state ``q`` a parent can query: the initial state and
+the targets of down-moves (the *entry projection*).
 
 The summaries compose bottom-up: the relation at a node is a least
 fixpoint combining the children's relations with the local transitions.
@@ -240,7 +242,7 @@ def _node_relation(
     table: _StateTable,
     symbol: str,
     children: tuple[dict, dict] | None,
-    entry_mask: int | None = None,
+    entry_mask: int,
 ) -> Relation:
     """The summary relation at a node (packed pairs), by least fixpoint.
 
@@ -301,12 +303,6 @@ def _node_relation(
 
     by_state = derived.by_state
     pack = table.pack
-    if entry_mask is None:
-        return frozenset(
-            pack(state, direction, exits)
-            for state, bucket in by_state.items()
-            for direction, exits in bucket
-        )
     return frozenset(
         pack(state, direction, exits)
         for state, bucket in by_state.items()
@@ -359,9 +355,7 @@ def _down_view(relation: Relation, table: _StateTable) -> tuple[dict, dict]:
     return grouped
 
 
-def walking_summary(
-    automaton: PebbleAutomaton, filter_entries: bool = True
-) -> LazyTA:
+def walking_summary(automaton: PebbleAutomaton) -> LazyTA:
     """The summary construction as an implicit deterministic automaton.
 
     Its states are the summary relations: ``leaf_state(a)`` is the
@@ -370,10 +364,10 @@ def walking_summary(
     ``right``, and a relation accepts iff it holds ``(q0, none, ∅)``.
     A symbol without rules yields the empty relation.
 
-    ``filter_entries=False`` disables the entry-state projection of the
-    relations (an ablation knob: the projection collapses many summary
-    states and is worth an order of magnitude on realistic machines —
-    measured in ``benchmarks/bench_ablations.py``).
+    Relations keep only the pairs of states a parent can query
+    (:func:`_entry_mask`): the projection collapses many summary states
+    and is worth an order of magnitude on realistic machines — measured
+    in ``benchmarks/bench_ablations.py``.
     """
     if not is_walking(automaton):
         raise PebbleMachineError(
@@ -382,7 +376,7 @@ def walking_summary(
         )
     table = _StateTable(automaton)
     prepared = _prepare_rules(automaton, table)
-    entry_mask = _entry_mask(automaton, table) if filter_entries else None
+    entry_mask = _entry_mask(automaton, table)
 
     # The fixpoint at (symbol, left, right) only reads the children's exit
     # options for that symbol's down-move targets, so cells whose child
@@ -441,16 +435,12 @@ def walking_summary(
     )
 
 
-def walking_automaton_to_ta(
-    automaton: PebbleAutomaton, filter_entries: bool = True
-) -> BottomUpTA:
+def walking_automaton_to_ta(automaton: PebbleAutomaton) -> BottomUpTA:
     """The regular language of an alternating tree-walking automaton.
 
     Deterministic bottom-up automaton whose states are the summary
     relations reachable from the leaves (:func:`walking_summary`,
     materialized); acceptance is ``(q0, none, ∅)`` at the root.
-    ``filter_entries`` is passed on to :func:`walking_summary`.
     """
-    return materialize(
-        walking_summary(automaton, filter_entries), automaton.alphabet
-    ).renamed()
+    summary = walking_summary(automaton)
+    return materialize(summary, automaton.alphabet).renamed()

@@ -20,21 +20,6 @@ from repro.regex.syntax import Complement, Intersect, Regex, Sym
 from repro.runtime.cache import memoized
 
 
-def reference_algebra_enabled() -> bool:
-    """The ``REPRO_REFERENCE_ALGEBRA`` flag (imported lazily: the regex
-    package is pulled in while ``repro.automata`` is still initializing)."""
-    from repro.automata.bitset import reference_algebra_enabled as enabled
-
-    return enabled()
-
-
-def _reference():
-    """The frozenset oracle module (imported lazily to avoid a cycle)."""
-    from repro.automata import reference
-
-    return reference
-
-
 @dataclass(frozen=True)
 class DFA:
     """A complete DFA.
@@ -164,8 +149,6 @@ class DFA:
 
     def product(self, other: "DFA", combine: Callable[[bool, bool], bool]) -> "DFA":
         """Product construction; ``combine`` decides acceptance."""
-        if reference_algebra_enabled():
-            return _reference().dfa_product(self, other, combine)
         table = tuple(
             combine(a, b) for a in (False, True) for b in (False, True)
         )
@@ -257,8 +240,6 @@ class DFA:
 
     def minimized(self) -> "DFA":
         """Moore partition-refinement minimization (reachable part only)."""
-        if reference_algebra_enabled():
-            return _reference().dfa_minimized(self)
         return memoized("dfa.minimized", (self,), self._minimized)
 
     def _minimized(self) -> "DFA":
@@ -330,8 +311,6 @@ class DFA:
 def determinize(nfa: NFA, alphabet: Iterable[str]) -> DFA:
     """Subset construction, producing a complete DFA over ``alphabet``."""
     alpha = frozenset(alphabet)
-    if reference_algebra_enabled():
-        return _reference().dfa_determinize(nfa, alpha)
     return memoized(
         "dfa.determinize",
         (nfa,),

@@ -118,15 +118,14 @@ def _checksum(key_bytes: bytes, value_bytes: bytes) -> bytes:
 class _IndexEntry:
     """Where a committed record's value lives (and how to verify it)."""
 
-    __slots__ = ("path", "offset", "length", "digest", "key_length")
+    __slots__ = ("path", "offset", "length", "digest")
 
     def __init__(self, path: Path, offset: int, length: int,
-                 digest: bytes, key_length: int) -> None:
+                 digest: bytes) -> None:
         self.path = path
         self.offset = offset  # offset of the *value* bytes
         self.length = length
         self.digest = digest
-        self.key_length = key_length
 
 
 class DiskCache:
@@ -213,7 +212,7 @@ class DiskCache:
                 continue
             value_offset = good - value_len
             self._index[key_bytes] = _IndexEntry(
-                path, value_offset, value_len, digest, key_len
+                path, value_offset, value_len, digest
             )
         return good
 
@@ -438,7 +437,7 @@ class DiskCache:
             assert self._writer_path is not None
             self._index[key_bytes] = _IndexEntry(
                 self._writer_path, end - len(value_bytes), len(value_bytes),
-                digest, len(key_bytes),
+                digest,
             )
             self._scanned[self._writer_path] = end
             self.stores += 1
@@ -601,7 +600,7 @@ class DiskCache:
                 out.write(record)
                 new_index[key_bytes] = _IndexEntry(
                     tmp_path, offset + len(record) - len(value_bytes),
-                    len(value_bytes), entry.digest, len(key_bytes),
+                    len(value_bytes), entry.digest,
                 )
             out.flush()
             os.fsync(out.fileno())

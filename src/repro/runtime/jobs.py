@@ -202,13 +202,18 @@ def _text_input(params: Mapping, name: str, required: bool = True
 
 def _number(value: Any, name: str, kind: type = float) -> Any:
     """The field ``name`` as a finite ``kind`` (``float`` or ``int``),
-    or :class:`~repro.errors.SupervisorError` naming it."""
-    try:
-        number = kind(value)
-        if math.isfinite(number):
-            return number
-    except (TypeError, ValueError, OverflowError):
-        pass
+    or :class:`~repro.errors.SupervisorError` naming it.  A JSON boolean
+    is not a number, and an ``int`` field refuses a fraction rather
+    than truncate it; numeric strings such as ``"20"`` are read."""
+    if not isinstance(value, bool):
+        try:
+            number = kind(value)
+            if math.isfinite(number) and (
+                not isinstance(value, float) or number == value
+            ):
+                return number
+        except (TypeError, ValueError, OverflowError):
+            pass
     noun = "an integer" if kind is int else "a finite number"
     raise SupervisorError(f"{name} must be {noun}, got {value!r}")
 

@@ -524,8 +524,6 @@ class ServiceDaemon:
             queue.Queue() for _ in range(config.workers)
         ]
         self._threads: list[threading.Thread] = []
-        self._waiters: dict[str, _Waiter] = {}
-        self._waiters_lock = threading.Lock()
         self._queue_journal: Optional[_Journal] = None
         self._results_journal: Optional[_Journal] = None
         self._breaker = _CircuitBreaker(config.breaker_threshold,
@@ -989,8 +987,6 @@ class ServiceDaemon:
                     "shed": "backlog"}
         self._journal_queue(spec)
         waiter = _Waiter()
-        with self._waiters_lock:
-            self._waiters[spec.id] = waiter
         self._queues[slot].put(
             (spec, waiter, time.monotonic(), deadline_at, affinity)
         )
@@ -1016,8 +1012,6 @@ class ServiceDaemon:
     def _finish(self, spec: JobSpec, result: JobResult,
                 waiter: _Waiter, affinity: str) -> None:
         self._record(spec, result, affinity)
-        with self._waiters_lock:
-            self._waiters.pop(spec.id, None)
         waiter.result = result
         waiter.event.set()
 

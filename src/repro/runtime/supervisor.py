@@ -262,7 +262,9 @@ class RetryPolicy:
                 kwargs[name] = _number(data[name], f"retry.{name}")
         retry_on = data.get("retry_on")
         if retry_on is not None:
-            if not isinstance(retry_on, (list, tuple)):
+            if not isinstance(retry_on, (list, tuple)) or not all(
+                isinstance(status, str) for status in retry_on
+            ):
                 raise SupervisorError(
                     f"retry.retry_on must be a list of statuses, got "
                     f"{retry_on!r}"

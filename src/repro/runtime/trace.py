@@ -409,13 +409,8 @@ class Tracer:
     #: default span cap per tracer.
     MAX_SPANS = 20_000
 
-    def __init__(
-        self,
-        *,
-        metrics: Optional[MetricsRegistry] = None,
-        max_spans: int = MAX_SPANS,
-    ) -> None:
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+    def __init__(self, *, max_spans: int = MAX_SPANS) -> None:
+        self.metrics = MetricsRegistry()
         self.max_spans = max_spans
         self.root: Optional[Span] = None
         self.dropped = 0

@@ -1,4 +1,9 @@
-"""Shared fixtures and hypothesis strategies."""
+"""Shared fixtures and hypothesis strategies.
+
+``REPRO_REFERENCE_ALGEBRA=1`` runs the session on the frozenset oracle
+algebra and ``REPRO_VALIDATE_TRUSTED=1`` re-validates every trusted
+construction (see ``switches.py``).
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,13 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+import switches
 from repro.trees import BTree, RankedAlphabet, UTree
+
+if switches.oracle_requested():
+    switches.use_oracle(True)
+if switches.validation_requested():
+    switches.validate_trusted()
 
 
 @pytest.fixture

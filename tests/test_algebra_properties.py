@@ -246,8 +246,8 @@ class TestBitsetReferenceFingerprints:
     @given(automaton=AUTOMATA)
     @settings(max_examples=25, deadline=None)
     def test_op_results_fingerprint_identically(self, automaton):
-        from repro.automata.bitset import reference_algebra
         from repro.runtime import clear_cache
+        from switches import oracle_algebra
 
         ops = [
             lambda a: a.determinized(),
@@ -257,10 +257,10 @@ class TestBitsetReferenceFingerprints:
         ]
         for op in ops:
             clear_cache()
-            with reference_algebra(False):
+            with oracle_algebra(False):
                 bit = fingerprint(op(automaton))
             clear_cache()
-            with reference_algebra(True):
+            with oracle_algebra(True):
                 ora = fingerprint(op(automaton))
             clear_cache()
             assert bit == ora

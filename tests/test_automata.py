@@ -181,6 +181,32 @@ class TestTopDown:
             assert bottom_up.accepts(tree) == back.accepts(tree)
         assert back.equivalent(bottom_up)
 
+    def test_renamed_keeps_the_language_and_the_sizes(self, rng):
+        automaton = bu_to_td(root_is_f())
+        renamed = automaton.renamed()
+        assert renamed.states == set(range(len(automaton.states)))
+        assert renamed.stats() == automaton.stats()
+        for _ in range(40):
+            tree = random_btree(ALPHA, rng.randint(1, 9), rng)
+            assert renamed.accepts(tree) == automaton.accepts(tree)
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"initial": "z"}, "initial state"),
+        ({"final": {("f", "q")}}, "non-leaf symbol"),
+        ({"final": {("a", "z")}}, "unknown state"),
+        ({"transitions": {("a", "q"): {("q", "q")}}}, "non-internal"),
+        ({"transitions": {("f", "z"): {("q", "q")}}}, "unknown state"),
+        ({"transitions": {("f", "q"): {("q", "z")}}}, "unknown state"),
+        ({"silent": {("h", "q"): {"q"}}}, "silent transition on"),
+        ({"silent": {("a", "q"): {"z"}}}, "unknown state"),
+    ])
+    def test_malformed_automata_are_refused(self, fields, message):
+        parts = {"alphabet": ALPHA, "states": {"q"}, "initial": "q",
+                 "final": {("a", "q")},
+                 "transitions": {("f", "q"): {("q", "q")}}}
+        with pytest.raises(AutomatonError, match=message):
+            TopDownTA(**{**parts, **fields})
+
 
 class TestFromDTD:
     def test_paper_dtd(self):

@@ -3,8 +3,8 @@
 The integer-indexed, bitmask-based algebra (:mod:`repro.automata.bitset`
 plus the rewritten ``BottomUpTA``/``DFA`` methods) must be observably
 identical to the original frozenset implementations, which live on as an
-executable oracle in :mod:`repro.automata.reference` behind the
-``REPRO_REFERENCE_ALGEBRA`` switch.  Every rewritten operation is run
+executable oracle in the test suite (``reference.py``, swapped in by
+``switches.oracle_algebra``).  Every rewritten operation is run
 both ways on random inputs and compared on observable behavior:
 membership over an enumerated tree/word sample, emptiness verdicts,
 witness validity, and (for the worked examples) typechecking verdicts.
@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata import BottomUpTA, alternating
-from repro.automata.bitset import reference_algebra
 from repro.errors import AutomatonError
 from repro.lang import (
     Apply,
@@ -46,6 +45,7 @@ from repro.runtime.cache import GLOBAL_CACHE
 from repro.trees import BTree, RankedAlphabet
 from repro.typecheck import typecheck, typecheck_selection
 from repro.xmlio import parse_dtd
+from switches import oracle_algebra
 
 ALPHA = RankedAlphabet(leaves={"a", "b"}, internals={"f", "g"})
 
@@ -143,10 +143,10 @@ def _both_ways(op, *inputs):
     the other's objects (the fingerprints are identical by design).
     """
     clear_cache()
-    with reference_algebra(False):
+    with oracle_algebra(False):
         bitset = op(*inputs)
     clear_cache()
-    with reference_algebra(True):
+    with oracle_algebra(True):
         oracle = op(*inputs)
     clear_cache()
     return bitset, oracle

@@ -159,6 +159,15 @@ class TestGeneralizedRegex:
         assert not language_is_empty(parse_regex("~(a.b) & a.b | a"),
                                      self.ALPHA)
 
+    def test_star_over_a_generalized_subexpression(self):
+        # the Thompson construction cannot star an intersection, so the
+        # compiler stars the compiled DFA instead
+        star = compile_regex(parse_regex("(a & ~b)*"), self.ALPHA)
+        plus = compile_regex(parse_regex("(a & ~b)+"), self.ALPHA)
+        assert star.equivalent(compile_regex(parse_regex("a*"), self.ALPHA))
+        assert plus.equivalent(
+            compile_regex(parse_regex("a.a*"), self.ALPHA))
+
     def test_de_morgan(self):
         left = compile_regex(parse_regex("~(a.b | b.a)"), self.ALPHA)
         right = compile_regex(parse_regex("~(a.b) & ~(b.a)"), self.ALPHA)

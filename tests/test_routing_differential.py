@@ -11,18 +11,15 @@ transducer/type pairs and the worked example machines and asserts:
   input belongs to the input type, the transducer can produce the
   recorded output on it, and that output violates the output type;
 * agreement survives the representation switches: the frozenset
-  reference algebra (``REPRO_REFERENCE_ALGEBRA=1``) and a disabled memo
+  reference algebra (``switches.oracle_algebra``) and a disabled memo
   cache (``REPRO_CACHE=0``) — the CI routing job additionally runs the
-  whole suite under those environments.
+  whole suite under ``REPRO_REFERENCE_ALGEBRA=1`` and ``REPRO_CACHE=0``.
 """
-
-import contextlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.automata.bitset import set_reference_algebra
 from repro.automata.bottom_up import BottomUpTA
 from repro.lang import Apply, Out, Stylesheet, Template, xslt_to_transducer
 from repro.pebble.builders import (
@@ -42,6 +39,7 @@ from repro.typecheck import (
 )
 from repro.typecheck.engine import as_automaton
 from repro.xmlio import parse_dtd
+from switches import oracle_algebra
 
 ALPHA = RankedAlphabet(leaves={"a", "b"}, internals={"f", "g"})
 STATES = ["q0", "q1", "q2"]
@@ -273,15 +271,6 @@ def worked_examples():
     ]
 
 
-@contextlib.contextmanager
-def reference_algebra():
-    previous = set_reference_algebra(True)
-    try:
-        yield
-    finally:
-        set_reference_algebra(previous)
-
-
 class TestWorkedExamples:
     @pytest.mark.parametrize(
         "name,transducer,input_type,output_type,route,expected",
@@ -310,7 +299,7 @@ class TestWorkedExamples:
     @pytest.mark.parametrize("switch", ["reference-algebra", "no-cache"])
     def test_agreement_survives_representation_switches(self, switch):
         context = (
-            reference_algebra()
+            oracle_algebra()
             if switch == "reference-algebra"
             else cache_disabled()
         )

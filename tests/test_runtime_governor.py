@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from repro.automata import BottomUpTA
-from repro.automata.bitset import set_reference_algebra
 from repro.errors import ResourceExhausted
 from repro.pebble import (
     copy_transducer,
@@ -44,6 +43,7 @@ from repro.typecheck.engine import (
     as_automaton,
     complement_output_type,
 )
+from switches import oracle_algebra
 
 ALPHA = RankedAlphabet(leaves={"a", "b"}, internals={"f", "g"})
 
@@ -266,13 +266,9 @@ class TestGovernedPipeline:
             rules={(s, "x", "x"): {"x"} for s in ("f", "g")},
             accepting=(),
         )
-        previous = set_reference_algebra(False)
         governor = ResourceGovernor()
-        try:
-            with governed(governor):
-                assert automaton.witness() is None
-        finally:
-            set_reference_algebra(previous)
+        with oracle_algebra(False), governed(governor):
+            assert automaton.witness() is None
         assert governor.steps == 0
 
     def test_determinization_respects_state_budget(self):

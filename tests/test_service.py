@@ -151,6 +151,11 @@ def test_malformed_submits_are_refused_and_journal_nothing(make_daemon):
         assert response["error"], request
         if "timeout" in request:
             assert response["error"].startswith("bad request: timeout")
+    # an unhashable status used to crash the request handler
+    response = client.request({"op": "submit", "job": {
+        **job, "retry": {"retry_on": [["crashed"]]}}})
+    assert response["ok"] is False
+    assert "retry.retry_on must be a list of statuses" in response["error"]
     assert not daemon.queue_path.exists() \
         or not daemon.queue_path.read_text()
     assert client.ping()["ok"]

@@ -461,6 +461,10 @@ MALFORMED_SPECS = [
     ({"params": [["stylesheet_text", "x"]]}, "params must be an object"),
     ({"deadline_ms": "soon"}, "deadline_ms"),
     ({"deadline_ms": float("inf")}, "deadline_ms"),
+    ({"deadline_ms": True}, "deadline_ms"),
+    ({"retry": {"retry_on": [["crashed"]]}}, "retry.retry_on"),
+    ({"retry": {"max_attempts": 2.9}}, "retry.max_attempts"),
+    ({"limits": {"wall_seconds": True}}, "limits.wall_seconds"),
 ]
 
 
@@ -490,7 +494,11 @@ MALFORMED_PARAMS = [
     ("max_depth", "x", "max_depth must be an integer"),
     ("max_steps", "abc", "max_steps must be an integer"),
     ("max_states", [1], "max_states must be an integer"),
+    ("max_inputs", True, "max_inputs must be an integer"),
+    ("max_steps", False, "max_steps must be an integer"),
+    ("max_steps", 2.7, "max_steps must be an integer"),
     ("timeout", "abc", "timeout must be a finite number"),
+    ("timeout", True, "timeout must be a finite number"),
     ("fallback", "false", "fallback must be true or false"),
     ("max_steps", -1, "max_steps must not be negative"),
     ("max_states", -5, "max_states must not be negative"),

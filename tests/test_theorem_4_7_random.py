@@ -12,6 +12,7 @@ from repro.pebble import (
     PebbleAutomaton,
     RuleSet,
     is_walking,
+    two_way,
     walking_automaton_to_ta,
 )
 from repro.trees import RankedAlphabet, random_btree
@@ -58,11 +59,18 @@ def test_summary_matches_agap(seed):
         )
 
 
+def every_state(automaton, table):
+    """An entry mask that keeps every state: no projection."""
+    return (1 << len(table.order)) - 1
+
+
 @pytest.mark.parametrize("seed", range(8))
-def test_entry_filter_is_semantically_invisible(seed):
+def test_entry_filter_is_semantically_invisible(seed, monkeypatch):
     automaton = random_walking_automaton(seed)
-    fast = walking_automaton_to_ta(automaton, filter_entries=True)
-    slow = walking_automaton_to_ta(automaton, filter_entries=False)
+    fast = walking_automaton_to_ta(automaton)
+    # the unprojected arm: every state is an entry
+    monkeypatch.setattr(two_way, "_entry_mask", every_state)
+    slow = walking_automaton_to_ta(automaton)
     rng = random.Random(seed + 5000)
     for _ in range(20):
         tree = random_btree(ALPHA, rng.randint(1, 8), rng)
